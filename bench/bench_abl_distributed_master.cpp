@@ -7,9 +7,9 @@
 // master brokers (rendezvous hashing on the top-level directory); every
 // producer writes a unique value under its own top-level directory and joins
 // one whole-job fence, which completes via the root's ShardCoordinator
-// fusing the per-shard version vector into a single event. With k=1 the wire
-// format and latencies are byte-for-byte the classic single-master path, so
-// the k=1 row is the true baseline.
+// fusing the per-shard version vector into a single event. k=1 is the
+// paper's single master on the same code path, so the k=1 row is the true
+// baseline.
 //
 // The interesting output is the crossover: at small producer counts the
 // cross-shard fence's extra coordination (every participant counts in at
@@ -121,6 +121,6 @@ int main() {
   }
   std::printf(
       "\n(real subsystem: one session, kvs module config {\"shards\": k}; "
-      "k=1 is the byte-identical classic path)\n");
+      "k=1 is the paper's single master)\n");
   return 0;
 }

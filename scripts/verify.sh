@@ -69,6 +69,20 @@ if [ $# -eq 0 ]; then
     echo "=== bench gate (fresh quick grid vs bench/results/baseline) ==="
     python3 scripts/bench_gate.py "$bench_out" bench/results/baseline
   fi
+  # The repository benchmark's own correctness verdict: every workload's
+  # oracle must pass and no operation may fail (short traced run; timings
+  # are not judged here).
+  echo "=== perfbench correctness (all workloads, seed 1, traced) ==="
+  perf_line="$(python3 perfbench/run.py --workload all --seed 1 --seconds 1 \
+    --trace 1 | tail -n 1)"
+  PERF_LINE="$perf_line" python3 - <<'PY'
+import json, os, sys
+verdict = json.loads(os.environ["PERF_LINE"])
+if verdict.get("correct") is not True or verdict.get("failed") != 0:
+    sys.exit("perfbench: correct=%s failed=%s" %
+             (verdict.get("correct"), verdict.get("failed")))
+print("perfbench: correct, 0 failed of %d ops" % verdict.get("attempted", 0))
+PY
 fi
 
 echo "verify: all requested presets green"

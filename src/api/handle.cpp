@@ -24,7 +24,7 @@ Handle::~Handle() {
 
 void Subscription::reset() noexcept {
   if (id_ == 0) return;
-  if (auto s = state_.lock(); s && s->owner) s->owner->unsubscribe_impl(id_);
+  if (auto s = state_.lock(); s && s->owner) s->owner->unsubscribe(id_);
   id_ = 0;
   state_.reset();
 }
@@ -126,7 +126,7 @@ Subscription Handle::subscribe(std::string topic_prefix,
   return Subscription{sub_state_, id};
 }
 
-void Handle::unsubscribe_impl(std::uint64_t subscription_id) {
+void Handle::unsubscribe(std::uint64_t subscription_id) {
   auto it = std::find_if(subs_.begin(), subs_.end(), [&](const Sub& s) {
     return s.id == subscription_id;
   });

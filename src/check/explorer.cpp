@@ -334,7 +334,7 @@ void audit_durability(const std::vector<OpRecord>& ops, const DstOptions& opt,
     stores[s] = std::make_unique<ContentStore>();
     try {
       FileLogBackend backend(file);
-      const ContentBackend::Recovered rec = backend.recover(*stores[s]);
+      const ContentBackend::Recovered rec = backend.recover(*stores[s], nshards);
       backend.close();
       if (rec.has_root(s)) roots[s] = rec.roots[s];
     } catch (const FluxException& e) {

@@ -1,5 +1,6 @@
 #include "kvs/content_backend.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <filesystem>
@@ -93,9 +94,14 @@ FileLogBackend::~FileLogBackend() {
   open_ = false;
 }
 
-ContentBackend::Recovered FileLogBackend::recover(ContentStore& into) {
+ContentBackend::Recovered FileLogBackend::recover(ContentStore& into,
+                                                  std::uint32_t shards) {
   assert(!open_ && pending_.empty());
   Recovered rec;
+  // Sized by the caller's shard count, never by bytes read from the file.
+  shards = std::max(1u, shards);
+  rec.roots.assign(shards, Sha1{});
+  rec.versions.assign(shards, 0);
 
   std::string data;
   {
@@ -158,18 +164,15 @@ ContentBackend::Recovered FileLogBackend::recover(ContentStore& into) {
       case RecordType::root: {
         auto j = Json::parse(payload);
         if (!j.has_value()) break;
-        const auto shard =
-            static_cast<std::uint32_t>(j->get_int("shard", 0));
+        const std::int64_t shard = j->get_int("shard", 0);
         const auto version =
             static_cast<std::uint64_t>(j->get_int("version", 0));
         auto ref = Sha1::parse(j->get_string("rootref"));
-        if (!ref || version == 0) break;
-        if (shard >= rec.roots.size()) {
-          rec.roots.resize(shard + 1);
-          rec.versions.resize(shard + 1, 0);
-        }
-        rec.roots[shard] = *ref;
-        rec.versions[shard] = version;
+        if (!ref || version == 0 || shard < 0 ||
+            shard >= static_cast<std::int64_t>(shards))
+          break;
+        rec.roots[static_cast<std::size_t>(shard)] = *ref;
+        rec.versions[static_cast<std::size_t>(shard)] = version;
         if (version > birth) into.set_birth_version(birth = version);
         ok = true;
         break;
@@ -181,7 +184,7 @@ ContentBackend::Recovered FileLogBackend::recover(ContentStore& into) {
           break;
         const auto& refs = j->at("rootrefs").as_array();
         const auto& vv = j->at("vv").as_array();
-        if (refs.size() != vv.size()) break;
+        if (refs.size() != vv.size() || refs.size() > shards) break;
         std::vector<Sha1> roots;
         std::vector<std::uint64_t> versions;
         bool bad = false;
@@ -195,6 +198,8 @@ ContentBackend::Recovered FileLogBackend::recover(ContentStore& into) {
           versions.push_back(static_cast<std::uint64_t>(vv[s].as_int()));
         }
         if (bad) break;
+        roots.resize(shards);
+        versions.resize(shards, 0);
         rec.roots = std::move(roots);
         rec.versions = std::move(versions);
         rec.found_checkpoint = true;

@@ -105,10 +105,13 @@ class ContentBackend {
   virtual ~ContentBackend() = default;
 
   /// Open (or create) the backing file, replay surviving objects into
-  /// `into`, and return the recovered roots. Must be called exactly once,
-  /// before any append; attach the store *after* recovery so replayed
-  /// objects are not re-appended.
-  virtual Recovered recover(ContentStore& into) = 0;
+  /// `into`, and return the recovered roots: one entry per shard of a
+  /// `shards`-way session. A root record naming a shard >= `shards` (or a
+  /// checkpoint with more entries) is semantically bad and ends the scan
+  /// like a torn tail. Must be called exactly once, before any append;
+  /// attach the store *after* recovery so replayed objects are not
+  /// re-appended.
+  virtual Recovered recover(ContentStore& into, std::uint32_t shards = 1) = 0;
 
   virtual void append_object(const StoredObject& obj) = 0;
   virtual void append_root(std::uint32_t shard, std::uint64_t version,
@@ -142,7 +145,7 @@ class FileLogBackend final : public ContentBackend {
   explicit FileLogBackend(std::string path);
   ~FileLogBackend() override;
 
-  Recovered recover(ContentStore& into) override;
+  Recovered recover(ContentStore& into, std::uint32_t shards = 1) override;
   void append_object(const StoredObject& obj) override;
   void append_root(std::uint32_t shard, std::uint64_t version,
                    const Sha1& rootref) override;

@@ -54,7 +54,7 @@ KvsTxn& KvsTxn::mkdir(std::string key) {
 
 void WatchHandle::reset() noexcept {
   if (id_ == 0) return;
-  if (auto s = state_.lock(); s && s->owner) s->owner->unwatch_impl(id_);
+  if (auto s = state_.lock(); s && s->owner) s->owner->unwatch(id_);
   id_ = 0;
   state_.reset();
 }
@@ -85,8 +85,7 @@ void KvsClient::set_recorder(check::HistoryRecorder* rec, int client) {
 std::vector<std::uint64_t> KvsClient::sample_vv() const {
   auto* mod = dynamic_cast<KvsModule*>(h_.broker().find_module("kvs"));
   if (!mod) return {};
-  if (mod->sharded()) return mod->shard_versions();
-  return {mod->root_version()};
+  return mod->shard_versions();
 }
 
 void KvsClient::record_setroot(const Message& ev) {
@@ -312,7 +311,7 @@ WatchHandle KvsClient::watch(std::string key, WatchFn cb) {
   return WatchHandle(watch_state_, raw->id);
 }
 
-void KvsClient::unwatch_impl(std::uint64_t id) {
+void KvsClient::unwatch(std::uint64_t id) {
   std::erase_if(watches_,
                 [id](const std::unique_ptr<Watch>& w) { return w->id == id; });
 }

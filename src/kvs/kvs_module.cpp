@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <numeric>
 #include <set>
 
 #include "base/log.hpp"
@@ -54,6 +55,8 @@ KvsModule::KvsModule(Broker& b) : ModuleBase(b) {
   on("drop_cache", [this](Message& m) { op_drop_cache(m); });
 
   broker().module_subscribe(*this, "kvs.setroot");
+  broker().module_subscribe(*this, "kvs.fence.done");
+  broker().module_subscribe(*this, "live.down");
   broker().module_subscribe(*this, "hb");
   broker().module_subscribe(*this, "cmb.rejoin");
 }
@@ -73,6 +76,47 @@ std::optional<std::uint32_t> KvsModule::mastered_by(NodeId rank) const {
   return std::nullopt;
 }
 
+bool KvsModule::rebind_master(std::uint32_t shard, std::int64_t rank) {
+  if (rank < 0 || rank >= static_cast<std::int64_t>(broker().size()) ||
+      shard_masters_[shard] == static_cast<NodeId>(rank))
+    return false;
+  shard_masters_[shard] = static_cast<NodeId>(rank);
+  shard_dead_[shard] = false;
+  pending_failover_.erase(shard);
+  return true;
+}
+
+void KvsModule::bootstrap_empty(std::uint32_t shard) {
+  ObjPtr empty = empty_dir_object();
+  roots_[shard] = empty->id;
+  store_.set_birth_version(versions_[shard] + 1);
+  store_.put(std::move(empty));
+  ++versions_[shard];
+}
+
+bool KvsModule::via_session_tree(std::uint32_t shard) const noexcept {
+  return shard_masters_[shard] == 0;
+}
+
+void KvsModule::forward_toward_master(std::uint32_t shard, Message req) {
+  if (via_session_tree(shard)) {
+    broker().forward_upstream(std::move(req));
+    return;
+  }
+  if (const auto up = shard_parent_live(shard, broker().rank()))
+    broker().forward_direct(*up, std::move(req));
+}
+
+void KvsModule::bind_shard_stats(std::uint32_t shard) {
+  // k=1 keeps the single-master stats surface.
+  if (shards_ == 1 || shard_commits_ != nullptr) return;
+  obs::StatsRegistry& reg = broker().stats_registry();
+  const std::string prefix = "kvs.shard." + std::to_string(shard);
+  shard_commits_ = &reg.counter(prefix + ".commits");
+  shard_faults_served_ = &reg.counter(prefix + ".faults_served");
+  shard_apply_ns_ = &reg.histogram(prefix + ".apply_ns");
+}
+
 void KvsModule::start() {
   const Json cfg = broker().module_config("kvs");
   expiry_epochs_ =
@@ -88,6 +132,17 @@ void KvsModule::start() {
   shard_map_ =
       ShardMap(broker().size(), shards_cfg, broker().topology().arity());
   shards_ = shard_map_.shards();
+  roots_.assign(shards_, Sha1{});
+  versions_.assign(shards_, 0);
+  recovered_versions_.assign(shards_, 0);
+  shard_dead_.assign(shards_, false);
+  shard_masters_.resize(shards_);
+  for (std::uint32_t s = 0; s < shards_; ++s)
+    shard_masters_[s] = shard_map_.master_rank(s);
+  failover_ = cfg.get_bool("failover", false);
+  my_shard_ = shard_map_.shard_of_master(broker().rank());
+  if (shards_ > 1 && broker().is_root())
+    coord_ = std::make_unique<ShardCoordinator>(broker(), shards_);
 
   // Durable content store (ROADMAP: checkpoint/restart + GC). Config shape:
   //   {"persist": {"path": "...", "checkpoint_every": N,
@@ -110,80 +165,36 @@ void KvsModule::start() {
     }
   }
 
-  if (!sharded()) {
-    if (is_master()) {
-      apply_batches_stat_ = &reg.counter("kvs.apply.batches");
-      apply_batch_size_ = &reg.histogram("kvs.apply.batch_size");
-      announces_stat_ = &reg.counter("kvs.announce.batches");
-      announce_size_ = &reg.histogram("kvs.announce.batch_size");
-      // Apply/announce rate limit. Deferral trades commit latency for
-      // throughput: it only pays when the O(tree) broadcast and per-apply
-      // freeze dwarf the added wait, so the auto default stays OFF below 48
-      // brokers — at small and mid sizes the window shows up directly in
-      // latency-sensitive clients (measured: scheduler alloc RPCs +2-22 µs)
-      // for little host-side gain — and opens to 40 µs above, where each
-      // skipped broadcast saves a tree's worth of deliveries. 40 µs is the
-      // measured knee: wider keeps shrinking host work but costs more
-      // virtual throughput than the congestion relief returns.
-      std::int64_t win_us = cfg.get_int("announce_window_us", -1);
-      if (win_us < 0) win_us = broker().size() < 48 ? 0 : 40;
-      announce_window_ = std::chrono::microseconds(win_us);
-      // Recover from the durable log when one exists; else bootstrap fresh
-      // (version 1 is the empty root directory). A recovered root is
-      // re-announced one version above the recovered one — the recovery
-      // epoch — so the setroot version stream stays strictly monotonic
-      // across a master restart.
-      if (!persist_open(0)) {
-        ObjPtr empty = empty_dir_object();
-        root_ref_ = empty->id;
-        store_.set_birth_version(1);
-        store_.put(std::move(empty));
-        root_version_ = 1;
-      }
-      persist_root(0, root_version_, root_ref_);
-      broker().publish("kvs.setroot",
-                       Json::object({{"version", root_version_},
-                                     {"rootref", root_ref_.hex()},
-                                     {"fences", Json::array()}}));
-    }
-    return;
-  }
+  // Apply/announce rate limit (set on every broker: failover can make any
+  // rank a master). Deferral trades commit latency for throughput: it only
+  // pays when the O(tree) broadcast and per-apply freeze dwarf the added
+  // wait, so the auto default stays OFF below 48 brokers — at small and mid
+  // sizes the window shows up directly in latency-sensitive clients
+  // (measured: scheduler alloc RPCs +2-22 µs) for little host-side gain —
+  // and opens to 40 µs above, where each skipped broadcast saves a tree's
+  // worth of deliveries. 40 µs is the measured knee: wider keeps shrinking
+  // host work but costs more virtual throughput than the congestion relief
+  // returns.
+  std::int64_t win_us = cfg.get_int("announce_window_us", -1);
+  if (win_us < 0) win_us = broker().size() < 48 ? 0 : 40;
+  announce_window_ = std::chrono::microseconds(win_us);
 
-  shard_roots_.assign(shards_, Sha1{});
-  shard_versions_.assign(shards_, 0);
-  shard_dead_.assign(shards_, false);
-  shard_masters_.resize(shards_);
-  for (std::uint32_t s = 0; s < shards_; ++s)
-    shard_masters_[s] = shard_map_.master_rank(s);
-  failover_ = cfg.get_bool("failover", false);
-  my_shard_ = shard_map_.shard_of_master(broker().rank());
-  broker().module_subscribe(*this, "kvs.fence.done");
-  broker().module_subscribe(*this, "live.down");
-  if (broker().is_root())
-    coord_ = std::make_unique<ShardCoordinator>(broker(), shards_);
-
-  if (my_shard_) {
-    const std::string prefix = "kvs.shard." + std::to_string(*my_shard_);
-    shard_commits_ = &reg.counter(prefix + ".commits");
-    shard_faults_served_ = &reg.counter(prefix + ".faults_served");
-    shard_apply_ns_ = &reg.histogram(prefix + ".apply_ns");
-    // Bootstrap this shard: recover from its durable log when one exists,
-    // else version 1 is its empty root directory.
-    const std::uint32_t s = *my_shard_;
-    if (!persist_open(s)) {
-      ObjPtr empty = empty_dir_object();
-      shard_roots_[s] = empty->id;
-      store_.set_birth_version(1);
-      store_.put(std::move(empty));
-      shard_versions_[s] = 1;
-    }
-    persist_root(s, shard_versions_[s], shard_roots_[s]);
-    refresh_scalar_root();
-    Json ev = Json::object({{"shard", static_cast<std::int64_t>(s)},
-                            {"version", shard_versions_[s]},
-                            {"rootref", shard_roots_[s].hex()}});
-    broker().publish("kvs.setroot." + std::to_string(s), std::move(ev));
-  }
+  if (!my_shard_) return;
+  const std::uint32_t s = *my_shard_;
+  apply_batches_stat_ = &reg.counter("kvs.apply.batches");
+  apply_batch_size_ = &reg.histogram("kvs.apply.batch_size");
+  announces_stat_ = &reg.counter("kvs.announce.batches");
+  announce_size_ = &reg.histogram("kvs.announce.batch_size");
+  bind_shard_stats(s);
+  // Recover from the durable log when one exists; else bootstrap fresh
+  // (version 1 is the empty root directory). A recovered root is
+  // re-announced one version above the recovered one — the recovery
+  // epoch — so the setroot version stream stays strictly monotonic across
+  // a master restart.
+  if (!persist_open(s)) bootstrap_empty(s);
+  persist_root(s);
+  refresh_scalar_root();
+  publish_root(s, {});
 }
 
 void KvsModule::shutdown() {
@@ -194,16 +205,14 @@ void KvsModule::shutdown() {
   // posted resumes while the module is still alive (see Session::~Session),
   // so each parked get/commit unwinds with a typed error instead of leaking.
   const Error bye(errc::canceled, "kvs: session shutdown");
-  for (auto& [version, promise] : version_waiters_) promise.set_error(bye);
+  for (VersionWaiter& w : version_waiters_) w.promise.set_error(bye);
   version_waiters_.clear();
-  for (auto& [shard, promise] : shard_ready_waiters_) promise.set_error(bye);
-  shard_ready_waiters_.clear();
   for (auto& [id, promise] : faults_) promise.set_error(bye);
   faults_.clear();
   if (backend_) {
     // Clean shutdown: one final checkpoint so a restart recovers the exact
     // served state, then sync and close.
-    backend_->append_checkpoint(checkpoint_roots(), checkpoint_vv());
+    backend_->append_checkpoint(roots_, versions_);
     ++persist_stats_.checkpoints;
     backend_->close();
   }
@@ -224,12 +233,11 @@ void KvsModule::on_fail() {
 // ---------------------------------------------------------------------------
 
 bool KvsModule::persist_open(std::uint32_t shard) {
-  recovered_versions_.assign(std::max<std::uint32_t>(shards_, 1), 0);
   if (!persist_) return false;
   std::string path = persist_->path;
-  if (sharded()) path += ".s" + std::to_string(shard);
+  if (shards_ > 1) path += ".s" + std::to_string(shard);
   backend_ = std::make_unique<FileLogBackend>(path);
-  const ContentBackend::Recovered rec = backend_->recover(store_);
+  const ContentBackend::Recovered rec = backend_->recover(store_, shards_);
   persist_stats_.recovered_objects = rec.objects;
   persist_stats_.truncated_bytes = rec.truncated_bytes;
   if (persist_->gc_every != 0)
@@ -238,13 +246,8 @@ bool KvsModule::persist_open(std::uint32_t shard) {
   bool recovered = false;
   if (rec.has_root(shard) && store_.contains(rec.roots[shard])) {
     const std::uint64_t v = rec.versions[shard] + 1;  // recovery epoch
-    if (sharded()) {
-      shard_roots_[shard] = rec.roots[shard];
-      shard_versions_[shard] = v;
-    } else {
-      root_ref_ = rec.roots[shard];
-      root_version_ = v;
-    }
+    roots_[shard] = rec.roots[shard];
+    versions_[shard] = v;
     recovered_versions_[shard] = v;
     persist_stats_.recovered_version = v;
     store_.set_birth_version(v);
@@ -259,8 +262,7 @@ bool KvsModule::persist_open(std::uint32_t shard) {
   return recovered;
 }
 
-void KvsModule::persist_root(std::uint32_t shard, std::uint64_t version,
-                             const Sha1& ref) {
+void KvsModule::persist_root(std::uint32_t shard) {
   if (!backend_) return;
   // Ack-after-sync: the root record (and every object it references, which
   // precedes it in the log) is durable before any announce or response goes
@@ -268,12 +270,12 @@ void KvsModule::persist_root(std::uint32_t shard, std::uint64_t version,
   // breaks exactly this — acks go out with the tail still buffered — so a
   // crash loses acked commits and the durability audit must flag it
   // (tests/test_persist.cpp teeth test).
-  backend_->append_root(shard, version, ref);
+  backend_->append_root(shard, versions_[shard], roots_[shard]);
   if (!check::mutation("kvs.skip_sync")) backend_->sync();
   if (persist_->checkpoint_every != 0 &&
       ++applies_since_checkpoint_ >= persist_->checkpoint_every) {
     applies_since_checkpoint_ = 0;
-    backend_->append_checkpoint(checkpoint_roots(), checkpoint_vv());
+    backend_->append_checkpoint(roots_, versions_);
     backend_->sync();
     ++persist_stats_.checkpoints;
   }
@@ -283,20 +285,9 @@ void KvsModule::persist_root(std::uint32_t shard, std::uint64_t version,
   }
 }
 
-std::vector<Sha1> KvsModule::checkpoint_roots() const {
-  if (sharded()) return shard_roots_;
-  return {root_ref_};
-}
-
-std::vector<std::uint64_t> KvsModule::checkpoint_vv() const {
-  if (sharded()) return shard_versions_;
-  return {root_version_};
-}
-
 std::vector<Sha1> KvsModule::gc_roots() const {
-  if (!sharded()) return {root_ref_};
   std::vector<Sha1> roots;
-  for (const Sha1& r : shard_roots_)
+  for (const Sha1& r : roots_)
     if (r != Sha1{}) roots.push_back(r);
   return roots;
 }
@@ -311,17 +302,12 @@ std::vector<Sha1> KvsModule::gc_pins() const {
   // reachable from any root.
   for (const auto& [name, fence] : fences_) {
     pins.insert(pins.end(), fence.pins.begin(), fence.pins.end());
-    add_tuples(fence.pending_tuples);
-    add_tuples(fence.total_tuples);
-  }
-  for (const auto& [name, tuples] : apply_batch_) add_tuples(tuples);
-  for (const auto& [name, fence] : sharded_fences_) {
-    pins.insert(pins.end(), fence.pins.begin(), fence.pins.end());
-    for (const ShardPart& part : fence.parts) {
+    for (const Fence::Part& part : fence.parts) {
       add_tuples(part.pending_tuples);
       add_tuples(part.total_tuples);
     }
   }
+  for (const ReadyPart& ready : apply_batch_) add_tuples(ready.tuples);
   // Staged (uncommitted) client transactions: op_put placed their objects in
   // the store ahead of the commit.
   for (const auto& [key, txn] : txns_) add_tuples(txn.tuples);
@@ -331,7 +317,10 @@ std::vector<Sha1> KvsModule::gc_pins() const {
 void KvsModule::run_gc() {
   const auto t0 = std::chrono::steady_clock::now();
   GcOptions opt;
-  opt.current_version = root_version_;
+  // Runs inside master_apply, after the version bump but before the scalar
+  // refresh (waiters complete only after the sync): sum the shards here.
+  opt.current_version =
+      std::accumulate(versions_.begin(), versions_.end(), std::uint64_t{0});
   opt.retention = persist_->retention;
   opt.pins = gc_pins();
   const GcStats gs = mark_and_sweep(store_, gc_roots(), opt);
@@ -341,7 +330,7 @@ void KvsModule::run_gc() {
   // Reclaim the log space too: rewrite it to the swept store plus one
   // checkpoint (atomic temp-file + rename).
   if (gs.swept > 0) {
-    backend_->compact(store_, checkpoint_roots(), checkpoint_vv());
+    backend_->compact(store_, roots_, versions_);
     ++persist_stats_.checkpoints;
   }
   if (gc_pause_ns_) gc_pause_ns_->record(wall_ns_since(t0));
@@ -350,11 +339,12 @@ void KvsModule::run_gc() {
 void KvsModule::handle_event(const Message& msg) {
   if (msg.topic == "hb") {
     epoch_ = static_cast<std::uint64_t>(msg.payload().get_int("epoch", 0));
-    // Sharded: every rank keeps a cache (a shard master caches the other
-    // shards' objects); pinned (dirty) entries survive expiry regardless.
-    if (expiry_epochs_ > 0 && (sharded() || !is_master()))
+    // Every rank but a sole master keeps a cache (a shard master caches the
+    // other shards' objects); pinned (dirty) entries survive expiry
+    // regardless.
+    if (expiry_epochs_ > 0 && !sole_master())
       cache_.expire(epoch_, expiry_epochs_);
-    if (sharded() && failover_ && !pending_failover_.empty()) check_failovers();
+    if (failover_ && !pending_failover_.empty()) check_failovers();
     return;
   }
   if (msg.topic == "cmb.rejoin") {
@@ -367,34 +357,13 @@ void KvsModule::handle_event(const Message& msg) {
       co_spawn(broker().executor(), resync_after_rejoin(), "kvs.resync");
     return;
   }
-  if (sharded()) {
-    if (msg.topic == "kvs.fence.done") {
-      on_fence_done(msg);
-      return;
-    }
-    if (msg.topic.starts_with("kvs.setroot.")) {
-      on_shard_setroot(msg);
-      return;
-    }
-    if (msg.topic == "live.down") {
-      on_live_down(msg);
-      return;
-    }
-    return;  // plain "kvs.setroot" is never published in sharded mode
-  }
-  if (msg.topic == "kvs.setroot") {
-    const auto version =
-        static_cast<std::uint64_t>(msg.payload().get_int("version", 0));
-    const auto ref = Sha1::parse(msg.payload().get_string("rootref"));
-    if (!ref) {
-      log::error("kvs", "setroot event with bad rootref");
-      return;
-    }
-    std::vector<std::string> fences;
-    if (msg.payload().at("fences").is_array())
-      for (const Json& f : msg.payload().at("fences").as_array())
-        if (f.is_string()) fences.push_back(f.as_string());
-    apply_root(*ref, version, fences);
+  if (msg.topic == "kvs.fence.done") {
+    on_fence_done(msg);
+  } else if (msg.topic == "live.down") {
+    on_live_down(msg);
+  } else if (msg.topic == "kvs.setroot" ||
+             msg.topic.starts_with("kvs.setroot.")) {
+    on_setroot(msg);
   }
 }
 
@@ -408,17 +377,19 @@ KvsModule::TxnKey KvsModule::txn_key(const Message& msg) {
   return {origin.rank, origin.id};
 }
 
+void KvsModule::stage_object(const ObjPtr& obj, bool pin) {
+  if (sole_master()) {
+    store_.put(obj);
+    return;
+  }
+  cache_.put(obj, epoch_);
+  if (pin) cache_.pin(obj->id);
+}
+
 void KvsModule::record(Message& msg, std::string key, ObjPtr obj) {
   Txn& txn = txns_[txn_key(msg)];
   txn.tuples.push_back(Tuple{std::move(key), obj->id});
-  if (!sharded() && is_master()) {
-    store_.put(obj);
-  } else {
-    // Sharded: the owning master is only known per-tuple; stage in the cache
-    // (pinned) and let the fence flush place each object on its shard.
-    cache_.put(obj, epoch_);
-    cache_.pin(obj->id);
-  }
+  stage_object(obj, /*pin=*/true);
   txn.objects.push_back(std::move(obj));
 }
 
@@ -457,10 +428,7 @@ void KvsModule::op_stage(Message& msg) {
   }
   for (const ObjPtr& obj : bundle->objects()) {
     ++ops_.puts;
-    if (!sharded() && is_master())
-      store_.put(obj);
-    else
-      cache_.put(obj, epoch_);
+    stage_object(obj, /*pin=*/false);
   }
   respond_ok(msg);
 }
@@ -530,15 +498,9 @@ std::optional<KvsModule::Txn> KvsModule::claim_txn(Message& msg) {
     }
     txn.tuples = std::move(tuples).value();
     for (ObjPtr& obj : objects) {
-      // Mirror record(): the single master stores straight away; everyone
-      // else caches + pins so the objects survive eviction until the fence
-      // completes.
-      if (!sharded() && is_master()) {
-        store_.put(obj);
-      } else {
-        cache_.put(obj, epoch_);
-        cache_.pin(obj->id);
-      }
+      // Mirror record(): pinned so the objects survive eviction until the
+      // fence completes.
+      stage_object(obj, /*pin=*/true);
       txn.objects.push_back(std::move(obj));
     }
   }
@@ -562,15 +524,44 @@ void KvsModule::op_fence(Message& msg) {
   }
   auto txn = claim_txn(msg);
   if (!txn) return;
-  if (sharded()) {
-    op_fence_sharded(msg, name, nprocs, std::move(*txn));
-    return;
+
+  // Split the transaction into per-shard parts. Objects follow the tuples
+  // that reference them (an object referenced from two shards ships to
+  // both — content addressing makes that a harmless duplicate).
+  std::vector<std::vector<Tuple>> tuples_by(shards_);
+  std::vector<std::vector<ObjPtr>> objects_by(shards_);
+  std::unordered_map<Sha1, ObjPtr> by_id;
+  for (const ObjPtr& obj : txn->objects) by_id.emplace(obj->id, obj);
+  std::vector<std::unordered_set<Sha1>> routed(shards_);
+  for (Tuple& t : txn->tuples) {
+    const std::uint32_t s = shard_map_.shard_of(t.key);
+    if (auto it = by_id.find(t.ref);
+        it != by_id.end() && routed[s].insert(t.ref).second)
+      objects_by[s].push_back(it->second);
+    tuples_by[s].push_back(std::move(t));
   }
-  FenceState& fence = fences_[name];
+
+  // Writes against a dead shard fail fast instead of hanging the fence.
+  for (std::uint32_t s = 0; s < shards_; ++s) {
+    if (!tuples_by[s].empty() && shard_dead_[s]) {
+      for (const ObjPtr& obj : txn->objects) cache_.unpin(obj->id);
+      respond_error(msg, errc::host_down,
+                    "fence: master of shard " + std::to_string(s) + " is down");
+      return;
+    }
+  }
+
+  Fence& fence = fences_[name];
   for (const ObjPtr& obj : txn->objects) fence.pins.push_back(obj->id);
   fence.waiters.push_back(msg);
-  fence_add(name, nprocs, {fence_origin_key(msg)}, std::move(txn->tuples),
-            txn->objects);
+  const std::string origin = fence_origin_key(msg);
+  // EVERY live shard receives this participant's contribution — empty parts
+  // included — so each master independently detects completion at nprocs.
+  for (std::uint32_t s = 0; s < shards_; ++s) {
+    if (shard_dead_[s]) continue;
+    fence_add(name, s, nprocs, {origin}, std::move(tuples_by[s]),
+              objects_by[s]);
+  }
 }
 
 std::string KvsModule::fence_origin_key(const Message& msg) {
@@ -580,15 +571,19 @@ std::string KvsModule::fence_origin_key(const Message& msg) {
   return std::to_string(origin.rank) + ":" + std::to_string(origin.id);
 }
 
-void KvsModule::fence_add(const std::string& name, std::int64_t nprocs,
+void KvsModule::fence_add(const std::string& name, std::uint32_t shard,
+                          std::int64_t nprocs,
                           std::vector<std::string> contributors,
                           std::vector<Tuple> tuples,
                           const std::vector<ObjPtr>& objects) {
-  FenceState& fence = fences_[name];
+  Fence& fence = fences_[name];
+  if (fence.parts.empty()) fence.parts.resize(shards_);
   if (fence.nprocs == 0) fence.nprocs = nprocs;
   if (fence.nprocs != nprocs)
     log::warn("kvs", "fence '", name, "': inconsistent nprocs ", nprocs,
               " vs ", fence.nprocs);
+  Fence::Part& part = fence.parts[shard];
+  if (!tuples.empty()) part.touched = true;
   // Retry detection, uniform for local clients (op_fence) and relayed
   // flushes (op_flush): a contributor this broker already forwarded means
   // some downstream attempt timed out, so the earlier flush carrying its
@@ -598,69 +593,77 @@ void KvsModule::fence_add(const std::string& name, std::int64_t nprocs,
   // forgetting the forwarded ids makes this wave re-ship its objects too.
   bool retried = false;
   for (const std::string& c : contributors)
-    if (!fence.origins.insert(c).second) retried = true;
-  if (retried) fence.forwarded_ids.clear();
+    if (!part.origins.insert(c).second) retried = true;
+  if (retried) part.forwarded_ids.clear();
   std::move(contributors.begin(), contributors.end(),
-            std::back_inserter(fence.pending_contributors));
+            std::back_inserter(part.pending_contributors));
   std::move(tuples.begin(), tuples.end(),
-            std::back_inserter(fence.pending_tuples));
+            std::back_inserter(part.pending_tuples));
+  const bool master = is_shard_master(shard);
   for (const ObjPtr& obj : objects) {
     // SHA1 dedup: redundant values are *reduced* here while the (key, SHA1)
     // tuples above are concatenated — the asymmetry behind Figure 3.
-    if (is_master()) continue;  // master already stored them
-    if (fence.forwarded_ids.insert(obj->id).second)
-      fence.pending_objects.push_back(obj);
+    if (master)
+      store_.put(obj);
+    else if (part.forwarded_ids.insert(obj->id).second)
+      part.pending_objects.push_back(obj);
   }
-  schedule_fence_flush(name);
-}
-
-void KvsModule::schedule_fence_flush(const std::string& name) {
-  FenceState& fence = fences_[name];
-  if (fence.flush_scheduled) return;
-  fence.flush_scheduled = true;
+  if (part.flush_scheduled) return;
+  part.flush_scheduled = true;
   // Posted (not inline) so contributions arriving in the same reactor turn
   // coalesce into one upstream message — the module-level data reduction of
   // the paper's tree overlay.
-  broker().executor().post([this, name] { flush_fence(name); });
+  broker().executor().post([this, name, shard] { flush_fence(name, shard); });
 }
 
-void KvsModule::flush_fence(const std::string& name) {
+void KvsModule::flush_fence(const std::string& name, std::uint32_t shard) {
   auto it = fences_.find(name);
   if (it == fences_.end()) return;
-  FenceState& fence = it->second;
-  fence.flush_scheduled = false;
-  if (fence.pending_contributors.empty()) return;
+  Fence::Part& part = it->second.parts[shard];
+  part.flush_scheduled = false;
+  if (part.pending_contributors.empty()) return;
 
-  if (is_master()) {
+  if (is_shard_master(shard)) {
+    // Objects staged before this broker took the shard over.
+    for (const ObjPtr& obj : part.pending_objects) store_.put(obj);
+    part.pending_objects.clear();
     // Tuples of a re-delivered contributor concatenate twice; applying the
     // same (key, SHA1) assignment again is value-idempotent.
-    for (std::string& c : fence.pending_contributors)
-      fence.counted.insert(std::move(c));
-    std::move(fence.pending_tuples.begin(), fence.pending_tuples.end(),
-              std::back_inserter(fence.total_tuples));
-    fence.pending_contributors.clear();
-    fence.pending_tuples.clear();
-    master_check_fence(name);
+    for (std::string& c : part.pending_contributors)
+      part.counted.insert(std::move(c));
+    std::move(part.pending_tuples.begin(), part.pending_tuples.end(),
+              std::back_inserter(part.total_tuples));
+    part.pending_contributors.clear();
+    part.pending_tuples.clear();
+    master_check_fence(name, shard);
+    return;
+  }
+  if (shard_dead_[shard]) {
+    // Undeliverable; the coordinator fails this fence.
+    part.pending_contributors.clear();
+    part.pending_tuples.clear();
+    part.pending_objects.clear();
     return;
   }
 
   ++ops_.flushes_forwarded;
   Json contributors = Json::array();
-  for (std::string& c : fence.pending_contributors)
+  for (std::string& c : part.pending_contributors)
     contributors.push_back(std::move(c));
-  Message flush = Message::request(
-      "kvs.flush", Json::object({{"name", name},
-                                 {"nprocs", fence.nprocs},
-                                 {"contributors", std::move(contributors)},
-                                 {"tuples", tuples_to_json(fence.pending_tuples)}}));
-  if (!fence.pending_objects.empty())
+  Json payload = Json::object({{"name", name},
+                               {"nprocs", it->second.nprocs},
+                               {"contributors", std::move(contributors)},
+                               {"tuples", tuples_to_json(part.pending_tuples)}});
+  if (shards_ > 1) payload["shard"] = static_cast<std::int64_t>(shard);
+  Message flush = Message::request("kvs.flush", std::move(payload));
+  if (!part.pending_objects.empty())
     flush.set_attachment(
-        std::make_shared<ObjectBundle>(std::move(fence.pending_objects)));
-  fence.pending_contributors.clear();
-  fence.pending_tuples.clear();
-  fence.pending_objects.clear();
+        std::make_shared<ObjectBundle>(std::move(part.pending_objects)));
+  part.pending_contributors.clear();
+  part.pending_tuples.clear();
+  part.pending_objects.clear();
   // forwarded_ids intentionally NOT cleared: dedup spans flush waves.
-  broker().forward_upstream(std::move(flush));
+  forward_toward_master(shard, std::move(flush));
 }
 
 void KvsModule::op_flush(Message& msg) {
@@ -684,40 +687,33 @@ void KvsModule::op_flush(Message& msg) {
     }
     objects = bundle->objects();
   }
-  const std::int64_t shard = msg.payload().get_int("shard", -1);
-  if (shard >= 0) {
-    if (!sharded() || shard >= static_cast<std::int64_t>(shards_)) {
-      log::error("kvs", "flush for unknown shard ", shard);
-      return;
-    }
-    shard_fence_add(name, static_cast<std::uint32_t>(shard), nprocs,
-                    std::move(contributors), std::move(tuples).value(),
-                    objects);
+  const std::int64_t shard = msg.payload().get_int("shard", 0);
+  if (shard < 0 || shard >= static_cast<std::int64_t>(shards_)) {
+    log::error("kvs", "flush for unknown shard ", shard);
     return;
   }
-  if (is_master())
-    for (const ObjPtr& obj : objects) store_.put(obj);
-  fence_add(name, nprocs, std::move(contributors), std::move(tuples).value(),
-            objects);
+  fence_add(name, static_cast<std::uint32_t>(shard), nprocs,
+            std::move(contributors), std::move(tuples).value(), objects);
 }
 
-void KvsModule::master_check_fence(const std::string& name) {
-  assert(is_master());
+void KvsModule::master_check_fence(const std::string& name,
+                                   std::uint32_t shard) {
   auto it = fences_.find(name);
   if (it == fences_.end()) return;
-  FenceState& fence = it->second;
-  const auto counted = static_cast<std::int64_t>(fence.counted.size());
+  Fence& fence = it->second;
+  Fence::Part& part = fence.parts[shard];
+  const auto counted = static_cast<std::int64_t>(part.counted.size());
   if (counted < fence.nprocs) return;
   if (counted > fence.nprocs)
-    log::warn("kvs", "fence '", name, "': ", counted,
+    log::warn("kvs", "fence '", name, "' shard ", shard, ": ", counted,
               " contributors for nprocs=", fence.nprocs);
-  if (fence.apply_pending) return;
-  fence.apply_pending = true;
+  if (part.apply_pending) return;
+  part.apply_pending = true;
   // Coalesce: every fence that fuses within this reactor turn shares one
   // root transition (production flux-core batches ready transactions the
   // same way). The posted flush applies the batch in readiness order.
-  apply_batch_.emplace_back(name, std::move(fence.total_tuples));
-  fence.total_tuples.clear();
+  apply_batch_.push_back({shard, name, std::move(part.total_tuples)});
+  part.total_tuples.clear();
   schedule_master_apply();
 }
 
@@ -745,47 +741,51 @@ void KvsModule::flush_apply_batch() {
   apply_scheduled_ = false;
   last_apply_flush_ = broker().executor().now();
   if (apply_batch_.empty()) return;
+  std::vector<ReadyPart> batch = std::move(apply_batch_);
+  apply_batch_.clear();
   if (broker().failed()) {
     // Master crashed mid-batch: never half-apply. The coalesced committers'
     // RPCs settle with typed host-down errors through the failure path (a
     // restarted master re-counts from retried flushes).
-    apply_batch_.clear();
     return;
   }
-  std::size_t ntuples = 0;
-  for (const auto& [name, tuples] : apply_batch_) ntuples += tuples.size();
-  std::vector<Tuple> tuples;
-  tuples.reserve(ntuples);
-  std::vector<std::string> names;
-  names.reserve(apply_batch_.size());
-  for (auto& [name, fence_tuples] : apply_batch_) {
-    names.push_back(std::move(name));
-    std::move(fence_tuples.begin(), fence_tuples.end(),
-              std::back_inserter(tuples));
+  // One root transition per shard, covering its ready fences in readiness
+  // order.
+  for (std::uint32_t s = 0; s < shards_; ++s) {
+    std::vector<Tuple> tuples;
+    std::vector<std::string> names;
+    for (ReadyPart& ready : batch) {
+      if (ready.shard != s) continue;
+      names.push_back(std::move(ready.name));
+      std::move(ready.tuples.begin(), ready.tuples.end(),
+                std::back_inserter(tuples));
+    }
+    if (names.empty()) continue;
+    ++ops_.apply_batches;
+    ops_.apply_batched_fences += names.size();
+    if (apply_batches_stat_ != nullptr) apply_batches_stat_->inc();
+    if (apply_batch_size_ != nullptr) apply_batch_size_->record(names.size());
+    master_apply(s, tuples, std::move(names));
   }
-  const std::uint64_t batched = apply_batch_.size();
-  apply_batch_.clear();
-  ++ops_.apply_batches;
-  ops_.apply_batched_fences += batched;
-  if (apply_batches_stat_ != nullptr) apply_batches_stat_->inc();
-  if (apply_batch_size_ != nullptr) apply_batch_size_->record(batched);
-  master_apply(tuples, std::move(names));
 }
 
-void KvsModule::master_apply(const std::vector<Tuple>& tuples,
+void KvsModule::master_apply(std::uint32_t shard,
+                             const std::vector<Tuple>& tuples,
                              std::vector<std::string> fences) {
-  assert(is_master());
+  assert(is_shard_master(shard));
+  const auto t0 = std::chrono::steady_clock::now();
   store_.set_birth_version(root_version_ + 1);
-  root_ref_ = apply_transaction(store_, root_ref_, tuples);
+  roots_[shard] = apply_transaction(store_, roots_[shard], tuples);
   // Mutation "kvs.skip_version_bump" (tests only): publish a new root under
   // a stale version number — breaks setroot-sequence monotonicity.
-  if (!check::mutation("kvs.skip_version_bump")) ++root_version_;
-  persist_root(0, root_version_, root_ref_);
+  if (!check::mutation("kvs.skip_version_bump")) ++versions_[shard];
+  persist_root(shard);
+  if (shard_apply_ns_ != nullptr) shard_apply_ns_->record(wall_ns_since(t0));
+  if (shard_commits_ != nullptr) shard_commits_->inc();
   // The master bumps its version here, so the event-path guard in
-  // apply_root (version > root_version_) won't fire for it: complete local
-  // version waiters directly.
-  complete_version_waiters();
-  for (auto& f : fences) announce_names_.push_back(std::move(f));
+  // adopt_root won't fire for it: complete local version waiters directly.
+  refresh_scalar_root();
+  for (auto& f : fences) announce_names_.emplace_back(shard, std::move(f));
   schedule_announce();
 }
 
@@ -808,282 +808,57 @@ void KvsModule::schedule_announce() {
 void KvsModule::flush_announce() {
   announce_armed_ = false;
   if (announce_names_.empty()) return;
+  std::vector<std::pair<std::uint32_t, std::string>> names =
+      std::move(announce_names_);
+  announce_names_.clear();
   if (broker().failed()) {
     // Master crashed between apply and announce: committers settle with
     // typed host-down errors through the broker failure path; the unsent
     // announce dies with this instance.
-    announce_names_.clear();
     return;
   }
   ++ops_.announces;
-  ops_.announced_fences += announce_names_.size();
+  ops_.announced_fences += names.size();
   if (announces_stat_ != nullptr) announces_stat_->inc();
-  if (announce_size_ != nullptr) announce_size_->record(announce_names_.size());
+  if (announce_size_ != nullptr) announce_size_->record(names.size());
   last_announce_ = broker().executor().now();
-  Json fence_names = Json::array();
-  for (auto& f : announce_names_) fence_names.push_back(std::move(f));
-  announce_names_.clear();
-  broker().publish("kvs.setroot",
-                   Json::object({{"version", root_version_},
-                                 {"rootref", root_ref_.hex()},
-                                 {"fences", std::move(fence_names)}}));
-  // The publish delivered the setroot event to this module synchronously
-  // (the root broker delivers locally), so every coalesced fence is now
-  // completed — all of them against the same (latest) root.
-}
-
-void KvsModule::apply_root(const Sha1& ref, std::uint64_t version,
-                           const std::vector<std::string>& fences) {
-  // Never apply roots out of order (monotonic reads; paper §IV-B).
-  if (version > root_version_) {
-    if (check::mutation("kvs.skip_apply") && root_version_ >= 1) {
-      // Mutation (tests only): complete fences below without adopting the
-      // new root — waiters get responses naming a root this instance never
-      // serves, breaking read-your-writes.
-    } else if (check::mutation("kvs.regress_root") && version >= 3) {
-      // Mutation (tests only): adopt the root but roll the version counter
-      // backwards — clients sampling the local version see it regress,
-      // breaking monotonic reads.
-      root_ref_ = ref;
-      root_version_ = version - 2;
-    } else {
-      root_ref_ = ref;
-      root_version_ = version;
-      complete_version_waiters();
-    }
-  }
-  for (const std::string& name : fences) {
-    auto it = fences_.find(name);
-    if (it == fences_.end()) continue;
-    FenceState fence = std::move(it->second);
-    fences_.erase(it);
-    for (const Sha1& id : fence.pins) cache_.unpin(id);
-    for (const Message& waiter : fence.waiters)
-      broker().respond(waiter.respond(Json::object(
-          {{"version", root_version_}, {"rootref", root_ref_.hex()}})));
-  }
-}
-
-void KvsModule::complete_version_waiters() {
-  auto it = version_waiters_.begin();
-  while (it != version_waiters_.end()) {
-    if (it->first <= root_version_) {
-      it->second.set_value(root_version_);
-      it = version_waiters_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-Future<std::uint64_t> KvsModule::version_reached(std::uint64_t version) {
-  Promise<std::uint64_t> p(broker().executor());
-  if (root_version_ >= version)
-    p.set_value(root_version_);
-  else
-    version_waiters_.emplace_back(version, p);
-  return p.future();
-}
-
-// ---------------------------------------------------------------------------
-// Sharded masters (paper §VII)
-// ---------------------------------------------------------------------------
-
-void KvsModule::refresh_scalar_root() {
-  std::uint64_t sum = 0;
-  for (const std::uint64_t v : shard_versions_) sum += v;
-  root_version_ = sum;
-  if (!shard_roots_.empty()) root_ref_ = shard_roots_[0];
-  complete_version_waiters();
-  auto it = shard_ready_waiters_.begin();
-  while (it != shard_ready_waiters_.end()) {
-    if (shard_versions_[it->first] >= 1) {
-      auto promise = it->second;
-      it = shard_ready_waiters_.erase(it);
-      promise.set_value(1);
-    } else {
-      ++it;
-    }
-  }
-}
-
-Future<std::uint64_t> KvsModule::shard_ready(std::uint32_t shard) {
-  Promise<std::uint64_t> p(broker().executor());
-  if (shard_versions_[shard] >= 1)
-    p.set_value(shard_versions_[shard]);
-  else
-    shard_ready_waiters_.emplace_back(shard, p);
-  return p.future();
-}
-
-void KvsModule::op_fence_sharded(Message& msg, const std::string& name,
-                                 std::int64_t nprocs, Txn txn) {
-  // Split the transaction into per-shard parts. Objects follow the tuples
-  // that reference them (an object referenced from two shards ships to
-  // both — content addressing makes that a harmless duplicate).
-  std::vector<std::vector<Tuple>> tuples_by(shards_);
-  std::vector<std::vector<ObjPtr>> objects_by(shards_);
-  std::unordered_map<Sha1, ObjPtr> by_id;
-  for (const ObjPtr& obj : txn.objects) by_id.emplace(obj->id, obj);
-  std::vector<std::unordered_set<Sha1>> routed(shards_);
-  for (Tuple& t : txn.tuples) {
-    const std::uint32_t s = shard_map_.shard_of(t.key);
-    if (auto it = by_id.find(t.ref);
-        it != by_id.end() && routed[s].insert(t.ref).second)
-      objects_by[s].push_back(it->second);
-    tuples_by[s].push_back(std::move(t));
-  }
-
-  // Writes against a dead shard fail fast instead of hanging the fence.
   for (std::uint32_t s = 0; s < shards_; ++s) {
-    if (!tuples_by[s].empty() && shard_dead_[s]) {
-      for (const ObjPtr& obj : txn.objects) cache_.unpin(obj->id);
-      respond_error(msg, errc::host_down,
-                    "fence: master of shard " + std::to_string(s) + " is down");
-      return;
-    }
-  }
-
-  ShardedFence& fence = sharded_fences_[name];
-  if (fence.parts.empty()) fence.parts.resize(shards_);
-  if (fence.nprocs == 0) fence.nprocs = nprocs;
-  for (const ObjPtr& obj : txn.objects) fence.pins.push_back(obj->id);
-  fence.waiters.push_back(msg);
-  const std::string origin = fence_origin_key(msg);
-
-  // EVERY live shard receives this participant's contribution — empty parts
-  // included — so each master independently detects completion at nprocs
-  // and the coordinator fuses exactly once per fence.
-  for (std::uint32_t s = 0; s < shards_; ++s) {
-    if (shard_dead_[s]) continue;
-    shard_fence_add(name, s, nprocs, {origin}, std::move(tuples_by[s]),
-                    objects_by[s]);
+    std::vector<std::string> fences;
+    for (auto& [shard, name] : names)
+      if (shard == s) fences.push_back(std::move(name));
+    if (!fences.empty()) publish_root(s, std::move(fences));
   }
 }
 
-void KvsModule::shard_fence_add(const std::string& name, std::uint32_t shard,
-                                std::int64_t nprocs,
-                                std::vector<std::string> contributors,
-                                std::vector<Tuple> tuples,
-                                const std::vector<ObjPtr>& objects) {
-  ShardedFence& fence = sharded_fences_[name];
-  if (fence.parts.empty()) fence.parts.resize(shards_);
-  if (fence.nprocs == 0) fence.nprocs = nprocs;
-  if (fence.nprocs != nprocs)
-    log::warn("kvs", "fence '", name, "': inconsistent nprocs ", nprocs,
-              " vs ", fence.nprocs);
-  ShardPart& part = fence.parts[shard];
-  if (!tuples.empty()) part.touched = true;
-  // Same retry detection as the single-master fence_add: a re-seen
-  // contributor means an earlier flush (and its object frames) may be lost,
-  // so this wave re-ships its objects.
-  bool retried = false;
-  for (const std::string& c : contributors)
-    if (!part.origins.insert(c).second) retried = true;
-  if (retried) part.forwarded_ids.clear();
-
-  if (is_shard_master(shard)) {
-    for (const ObjPtr& obj : objects) store_.put(obj);
-    for (std::string& c : contributors) part.counted.insert(std::move(c));
-    std::move(tuples.begin(), tuples.end(),
-              std::back_inserter(part.total_tuples));
-    const auto counted = static_cast<std::int64_t>(part.counted.size());
-    if (counted >= fence.nprocs && !part.applied) {
-      if (counted > fence.nprocs)
-        log::warn("kvs", "fence '", name, "' shard ", shard, ": ", counted,
-                  " contributors for nprocs=", fence.nprocs);
-      // May re-enter this module (coordinator fuse) and erase the fence
-      // state — nothing after this call may touch `fence`/`part`.
-      shard_master_apply(name, shard);
-    }
+void KvsModule::publish_root(std::uint32_t shard,
+                             std::vector<std::string> fences,
+                             bool claim_master) {
+  Json ev = Json::object(
+      {{"version", versions_[shard]}, {"rootref", roots_[shard].hex()}});
+  if (shards_ == 1) {
+    Json names = Json::array();
+    for (std::string& f : fences) names.push_back(std::move(f));
+    ev["fences"] = std::move(names);
+    // The root broker delivers the event to this module synchronously, so
+    // every named fence is complete — all against the same (latest) root —
+    // when publish returns.
+    broker().publish("kvs.setroot", std::move(ev));
     return;
   }
-
-  std::move(contributors.begin(), contributors.end(),
-            std::back_inserter(part.pending_contributors));
-  std::move(tuples.begin(), tuples.end(),
-            std::back_inserter(part.pending_tuples));
-  for (const ObjPtr& obj : objects)
-    if (part.forwarded_ids.insert(obj->id).second)
-      part.pending_objects.push_back(obj);
-  if (!part.flush_scheduled) {
-    part.flush_scheduled = true;
-    // Posted, like the single-master flush: same-turn contributions
-    // coalesce into one message per shard-tree edge.
-    broker().executor().post(
-        [this, name, shard] { flush_shard_fence(name, shard); });
-  }
-}
-
-void KvsModule::flush_shard_fence(const std::string& name,
-                                  std::uint32_t shard) {
-  auto it = sharded_fences_.find(name);
-  if (it == sharded_fences_.end()) return;
-  ShardPart& part = it->second.parts[shard];
-  part.flush_scheduled = false;
-  if (part.pending_contributors.empty()) return;
-  if (shard_dead_[shard]) {
-    // Undeliverable; the coordinator fails this fence.
-    part.pending_contributors.clear();
-    part.pending_tuples.clear();
-    part.pending_objects.clear();
-    return;
-  }
-  ++ops_.flushes_forwarded;
-  Json contributors = Json::array();
-  for (std::string& c : part.pending_contributors)
-    contributors.push_back(std::move(c));
-  Message flush = Message::request(
-      "kvs.flush",
-      Json::object({{"name", name},
-                    {"nprocs", it->second.nprocs},
-                    {"contributors", std::move(contributors)},
-                    {"shard", static_cast<std::int64_t>(shard)},
-                    {"tuples", tuples_to_json(part.pending_tuples)}}));
-  if (!part.pending_objects.empty())
-    flush.set_attachment(
-        std::make_shared<ObjectBundle>(std::move(part.pending_objects)));
-  part.pending_contributors.clear();
-  part.pending_tuples.clear();
-  part.pending_objects.clear();
-  // forwarded_ids intentionally NOT cleared: dedup spans flush waves.
-  const auto up = shard_parent_live(shard, broker().rank());
-  if (up) broker().forward_direct(*up, std::move(flush));
-}
-
-void KvsModule::shard_master_apply(const std::string& name,
-                                   std::uint32_t shard) {
-  auto it = sharded_fences_.find(name);
-  if (it == sharded_fences_.end()) return;
-  ShardPart& part = it->second.parts[shard];
-  part.applied = true;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  store_.set_birth_version(root_version_ + 1);
-  shard_roots_[shard] =
-      apply_transaction(store_, shard_roots_[shard], part.total_tuples);
-  ++shard_versions_[shard];
-  part.total_tuples.clear();
-  persist_root(shard, shard_versions_[shard], shard_roots_[shard]);
-  if (shard_apply_ns_) shard_apply_ns_->record(wall_ns_since(t0));
-  if (shard_commits_) shard_commits_->inc();
-  refresh_scalar_root();
-
-  const std::uint64_t version = shard_versions_[shard];
-  const Sha1 root = shard_roots_[shard];
-  Json ev = Json::object({{"shard", static_cast<std::int64_t>(shard)},
-                          {"version", version},
-                          {"rootref", root.hex()}});
+  ev["shard"] = static_cast<std::int64_t>(shard);
+  if (claim_master) ev["master"] = broker().rank();
   broker().publish("kvs.setroot." + std::to_string(shard), std::move(ev));
-  // Report to the coordinator LAST: fusing re-enters this module
-  // ("kvs.fence.done") and erases the fence state.
-  if (coord_) {
-    coord_->shard_done(name, shard, version, root);
-  } else {
+  // Report to the coordinator after the publish: fusing re-enters this
+  // module ("kvs.fence.done") and completes the fence.
+  for (const std::string& name : fences) {
+    if (coord_) {
+      coord_->shard_done(name, shard, versions_[shard], roots_[shard]);
+      continue;
+    }
     Json done = Json::object({{"name", name},
                               {"shard", static_cast<std::int64_t>(shard)},
-                              {"version", version},
-                              {"rootref", root.hex()}});
+                              {"version", versions_[shard]},
+                              {"rootref", roots_[shard].hex()}});
     broker().forward_direct(0, Message::request("kvs.shard_done",
                                                 std::move(done)));
   }
@@ -1103,86 +878,144 @@ void KvsModule::op_shard_done(Message& msg) {
   coord_->shard_done(name, static_cast<std::uint32_t>(shard), version, *ref);
 }
 
-void KvsModule::on_shard_setroot(const Message& msg) {
-  const std::int64_t shard = msg.payload().get_int("shard", -1);
-  const auto version =
-      static_cast<std::uint64_t>(msg.payload().get_int("version", 0));
-  const auto ref = Sha1::parse(msg.payload().get_string("rootref"));
-  if (shard < 0 || shard >= static_cast<std::int64_t>(shards_) || !ref) {
-    log::error("kvs", "malformed shard setroot event");
+// ---------------------------------------------------------------------------
+// Roots and fence completion
+// ---------------------------------------------------------------------------
+
+void KvsModule::adopt_root(std::uint32_t shard, const Sha1& ref,
+                           std::uint64_t version) {
+  // Never adopt roots out of order (monotonic reads; paper §IV-B).
+  if (version <= versions_[shard]) return;
+  if (check::mutation("kvs.skip_apply") && root_version_ >= 1) {
+    // Mutation (tests only): complete fences without adopting the new root
+    // — waiters get responses naming a root this instance never serves,
+    // breaking read-your-writes.
     return;
   }
-  const auto s = static_cast<std::uint32_t>(shard);
-  // Failover / post-rejoin announcement: a "master" field re-binds the shard
-  // to a new authoritative rank. Adopt it before the version check so the
-  // shard counts as live again even on ranks that raced ahead.
-  if (msg.payload().contains("master")) {
-    const auto m = static_cast<NodeId>(msg.payload().get_int("master", -1));
-    if (m < broker().size() && shard_masters_[s] != m) {
-      shard_masters_[s] = m;
-      shard_dead_[s] = false;
-      pending_failover_.erase(s);
-      if (coord_) coord_->shard_revived(s, version, *ref);
-      log::info("kvs", "rank ", broker().rank(), ": shard ", s,
-                " now mastered by rank ", m);
-    }
-  }
-  // Per-shard monotonic reads: a shard's roots apply in version order.
-  if (version > shard_versions_[s]) {
-    shard_versions_[s] = version;
-    shard_roots_[s] = *ref;
-    refresh_scalar_root();
-  }
+  roots_[shard] = ref;
+  versions_[shard] = version;
+  // Mutation (tests only): adopt the root but roll the version counter
+  // backwards — clients sampling the local version see it regress,
+  // breaking monotonic reads.
+  if (check::mutation("kvs.regress_root") && version >= 3)
+    versions_[shard] = version - 2;
 }
 
-void KvsModule::on_fence_done(const Message& msg) {
-  const std::string name = msg.payload().get_string("name");
-  const bool failed = msg.payload().get_bool("failed", false);
-  const Json& vv = msg.payload().at("vv");
-  const Json& rootrefs = msg.payload().at("rootrefs");
+void KvsModule::adopt_roots(const Json& payload) {
+  const Json& vv = payload.at("vv");
+  const Json& rootrefs = payload.at("rootrefs");
   if (vv.is_array() && rootrefs.is_array()) {
     const auto& versions = vv.as_array();
     const auto& roots = rootrefs.as_array();
     const std::size_t n =
         std::min<std::size_t>({shards_, versions.size(), roots.size()});
     for (std::size_t s = 0; s < n; ++s) {
-      const auto version = static_cast<std::uint64_t>(versions[s].as_int());
-      if (version <= shard_versions_[s]) continue;
-      const auto ref = Sha1::parse(roots[s].as_string());
-      if (!ref) continue;
-      shard_versions_[s] = version;
-      shard_roots_[s] = *ref;
+      if (!versions[s].is_int() || !roots[s].is_string()) continue;
+      if (const auto ref = Sha1::parse(roots[s].as_string()))
+        adopt_root(static_cast<std::uint32_t>(s), *ref,
+                   static_cast<std::uint64_t>(versions[s].as_int()));
+    }
+  } else if (const auto ref = Sha1::parse(payload.get_string("rootref"))) {
+    adopt_root(0, *ref,
+               static_cast<std::uint64_t>(payload.get_int("version", 0)));
+  }
+  refresh_scalar_root();
+}
+
+void KvsModule::refresh_scalar_root() {
+  root_version_ =
+      std::accumulate(versions_.begin(), versions_.end(), std::uint64_t{0});
+  auto it = version_waiters_.begin();
+  while (it != version_waiters_.end()) {
+    const std::uint64_t have = version_of(it->shard);
+    if (have >= it->version) {
+      it->promise.set_value(have);
+      it = version_waiters_.erase(it);
+    } else {
+      ++it;
     }
   }
-  // Adopt ALL shard roots before responding: read-your-writes plus
-  // cross-shard visibility of everything the fence committed.
-  refresh_scalar_root();
+}
 
-  auto it = sharded_fences_.find(name);
-  if (it == sharded_fences_.end()) return;
-  ShardedFence fence = std::move(it->second);
-  sharded_fences_.erase(it);
+std::uint64_t KvsModule::version_of(std::int64_t shard) const {
+  return shard == kScalar ? root_version_
+                          : versions_[static_cast<std::size_t>(shard)];
+}
+
+Future<std::uint64_t> KvsModule::version_reached(std::int64_t shard,
+                                                 std::uint64_t version) {
+  Promise<std::uint64_t> p(broker().executor());
+  if (const std::uint64_t have = version_of(shard); have >= version)
+    p.set_value(have);
+  else
+    version_waiters_.push_back({shard, version, p});
+  return p.future();
+}
+
+void KvsModule::complete_fence(const std::string& name, bool failed) {
+  auto it = fences_.find(name);
+  if (it == fences_.end()) return;
+  Fence fence = std::move(it->second);
+  fences_.erase(it);
   for (const Sha1& id : fence.pins) cache_.unpin(id);
   // Even when the coordinator salvaged the live shards, writes this broker
   // routed to a now-dead shard are gone — its waiters must hear that.
-  bool lost_local_writes = false;
   for (std::uint32_t s = 0; s < fence.parts.size(); ++s)
-    if (shard_dead_[s] && fence.parts[s].touched) lost_local_writes = true;
-  if (failed || lost_local_writes) {
+    if (shard_dead_[s] && fence.parts[s].touched) failed = true;
+  if (failed) {
     for (const Message& waiter : fence.waiters)
       respond_error(waiter, errc::host_down,
                     "fence '" + name + "': a shard master died");
     return;
   }
-  Json vv_out = Json::array();
-  for (const std::uint64_t v : shard_versions_)
-    vv_out.push_back(static_cast<std::int64_t>(v));
+  Json out = Json::object(
+      {{"version", root_version_}, {"rootref", roots_[0].hex()}});
+  if (shards_ > 1) {
+    Json vv = Json::array();
+    for (const std::uint64_t v : versions_)
+      vv.push_back(static_cast<std::int64_t>(v));
+    out["vv"] = std::move(vv);
+  }
   for (const Message& waiter : fence.waiters)
-    broker().respond(waiter.respond(
-        Json::object({{"version", root_version_},
-                      {"rootref", root_ref_.hex()},
-                      {"vv", vv_out}})));
+    broker().respond(waiter.respond(out));
 }
+
+void KvsModule::on_setroot(const Message& msg) {
+  const Json& p = msg.payload();
+  const std::int64_t shard = p.get_int("shard", 0);
+  const auto version = static_cast<std::uint64_t>(p.get_int("version", 0));
+  const auto ref = Sha1::parse(p.get_string("rootref"));
+  if (shard < 0 || shard >= static_cast<std::int64_t>(shards_) || !ref) {
+    log::error("kvs", "malformed setroot event");
+    return;
+  }
+  const auto s = static_cast<std::uint32_t>(shard);
+  // Failover / post-rejoin announcement: a "master" field re-binds the shard
+  // to a new authoritative rank. Adopt it before the version check so the
+  // shard counts as live again even on ranks that raced ahead.
+  if (p.contains("master") && rebind_master(s, p.get_int("master", -1))) {
+    if (coord_) coord_->shard_revived(s, version, *ref);
+    log::info("kvs", "rank ", broker().rank(), ": shard ", s,
+              " now mastered by rank ", shard_masters_[s]);
+  }
+  adopt_root(s, *ref, version);
+  refresh_scalar_root();
+  if (const Json& fences = p.at("fences"); fences.is_array())
+    for (const Json& f : fences.as_array())
+      if (f.is_string()) complete_fence(f.as_string(), /*failed=*/false);
+}
+
+void KvsModule::on_fence_done(const Message& msg) {
+  // Adopt ALL shard roots before responding: read-your-writes plus
+  // cross-shard visibility of everything the fence committed.
+  adopt_roots(msg.payload());
+  complete_fence(msg.payload().get_string("name"),
+                 msg.payload().get_bool("failed", false));
+}
+
+// ---------------------------------------------------------------------------
+// Shard liveness, failover and rejoin (paper §VII)
+// ---------------------------------------------------------------------------
 
 std::optional<NodeId> KvsModule::shard_parent_live(std::uint32_t shard,
                                                    NodeId rank) const {
@@ -1207,12 +1040,11 @@ void KvsModule::on_live_down(const Message& msg) {
   log::warn("kvs", "rank ", broker().rank(), ": shard ", *s,
             " master (rank ", dead, ") died");
   // Gets blocked on this shard's bootstrap can never proceed.
-  auto it = shard_ready_waiters_.begin();
-  while (it != shard_ready_waiters_.end()) {
-    if (it->first == *s) {
-      auto promise = it->second;
-      it = shard_ready_waiters_.erase(it);
-      promise.set_error(Error(errc::host_down, "shard master died"));
+  auto it = version_waiters_.begin();
+  while (it != version_waiters_.end()) {
+    if (it->shard == static_cast<std::int64_t>(*s)) {
+      it->promise.set_error(Error(errc::host_down, "shard master died"));
+      it = version_waiters_.erase(it);
     } else {
       ++it;
     }
@@ -1262,29 +1094,14 @@ void KvsModule::promote_shard(std::uint32_t shard) {
   // strictly higher version — over hanging fences or serving torn state.
   log::warn("kvs", "rank ", broker().rank(), ": taking over shard ", shard,
             " from dead rank ", shard_masters_[shard]);
-  ObjPtr empty = empty_dir_object();
-  const Sha1 root = empty->id;
-  store_.put(std::move(empty));
   shard_masters_[shard] = broker().rank();
   shard_dead_[shard] = false;
-  shard_roots_[shard] = root;
-  ++shard_versions_[shard];
-  const std::uint64_t version = shard_versions_[shard];
-  if (!my_shard_) {
-    my_shard_ = shard;
-    obs::StatsRegistry& reg = broker().stats_registry();
-    const std::string prefix = "kvs.shard." + std::to_string(shard);
-    shard_commits_ = &reg.counter(prefix + ".commits");
-    shard_faults_served_ = &reg.counter(prefix + ".faults_served");
-    shard_apply_ns_ = &reg.histogram(prefix + ".apply_ns");
-  }
+  bootstrap_empty(shard);
+  if (!my_shard_) my_shard_ = shard;
+  bind_shard_stats(shard);
   refresh_scalar_root();
-  if (coord_) coord_->shard_revived(shard, version, root);
-  Json ev = Json::object({{"shard", static_cast<std::int64_t>(shard)},
-                          {"version", version},
-                          {"rootref", root.hex()},
-                          {"master", broker().rank()}});
-  broker().publish("kvs.setroot." + std::to_string(shard), std::move(ev));
+  if (coord_) coord_->shard_revived(shard, versions_[shard], roots_[shard]);
+  publish_root(shard, {}, /*claim_master=*/true);
 }
 
 Task<void> KvsModule::resync_after_rejoin() {
@@ -1293,45 +1110,14 @@ Task<void> KvsModule::resync_after_rejoin() {
     req.nodeid = kNodeUpstream;
     Message resp = co_await broker().module_rpc(*this, std::move(req));
     if (!resp.ok()) co_return;
-    if (!sharded()) {
-      const auto version =
-          static_cast<std::uint64_t>(resp.payload().get_int("version", 0));
-      const auto ref = Sha1::parse(resp.payload().get_string("rootref"));
-      if (ref && version > root_version_) apply_root(*ref, version, {});
-      co_return;
-    }
     // Adopt masters first: shard-tree parent links and write authority both
     // key off them.
-    if (resp.payload().contains("masters") &&
-        resp.payload().at("masters").is_array()) {
-      const auto& ms = resp.payload().at("masters").as_array();
-      for (std::uint32_t s = 0; s < shards_ && s < ms.size(); ++s) {
-        if (!ms[s].is_int()) continue;
-        const auto m = static_cast<NodeId>(ms[s].as_int());
-        if (m < broker().size() && shard_masters_[s] != m) {
-          shard_masters_[s] = m;
-          shard_dead_[s] = false;
-          pending_failover_.erase(s);
-        }
-      }
+    if (const Json& ms = resp.payload().at("masters"); ms.is_array()) {
+      const auto& masters = ms.as_array();
+      for (std::uint32_t s = 0; s < shards_ && s < masters.size(); ++s)
+        if (masters[s].is_int()) rebind_master(s, masters[s].as_int());
     }
-    if (resp.payload().contains("vv") && resp.payload().at("vv").is_array() &&
-        resp.payload().contains("rootrefs") &&
-        resp.payload().at("rootrefs").is_array()) {
-      const auto& vv = resp.payload().at("vv").as_array();
-      const auto& roots = resp.payload().at("rootrefs").as_array();
-      const std::size_t n =
-          std::min<std::size_t>({shards_, vv.size(), roots.size()});
-      for (std::size_t s = 0; s < n; ++s) {
-        if (!vv[s].is_int()) continue;
-        const auto version = static_cast<std::uint64_t>(vv[s].as_int());
-        const auto ref = Sha1::parse(roots[s].as_string());
-        if (!ref || version <= shard_versions_[s]) continue;
-        shard_versions_[s] = version;
-        shard_roots_[s] = *ref;
-      }
-    }
-    refresh_scalar_root();
+    adopt_roots(resp.payload());
     // A restarted broker that still masters a shard: with a durable backend,
     // start() already recovered the shard's tree from its log — re-assert
     // mastership one version up so peers that raced ahead of the start()
@@ -1340,32 +1126,14 @@ Task<void> KvsModule::resync_after_rejoin() {
     // adopted_version + 1 (same explicit data-loss policy as hb failover).
     for (std::uint32_t s = 0; s < shards_; ++s) {
       if (shard_masters_[s] != broker().rank()) continue;
-      if (s < recovered_versions_.size() && recovered_versions_[s] != 0 &&
-          shard_versions_[s] <= recovered_versions_[s]) {
-        ++shard_versions_[s];
-        recovered_versions_[s] = shard_versions_[s];
-        persist_root(s, shard_versions_[s], shard_roots_[s]);
-        refresh_scalar_root();
-        Json ev = Json::object({{"shard", static_cast<std::int64_t>(s)},
-                                {"version", shard_versions_[s]},
-                                {"rootref", shard_roots_[s].hex()},
-                                {"master", broker().rank()}});
-        broker().publish("kvs.setroot." + std::to_string(s), std::move(ev));
-        continue;
-      }
-      ObjPtr empty = empty_dir_object();
-      const Sha1 root = empty->id;
-      store_.put(std::move(empty));
-      shard_roots_[s] = root;
-      ++shard_versions_[s];
-      const std::uint64_t version = shard_versions_[s];
-      persist_root(s, version, root);
+      if (recovered_versions_[s] != 0 &&
+          versions_[s] <= recovered_versions_[s])
+        recovered_versions_[s] = ++versions_[s];
+      else
+        bootstrap_empty(s);
+      persist_root(s);
       refresh_scalar_root();
-      Json ev = Json::object({{"shard", static_cast<std::int64_t>(s)},
-                              {"version", version},
-                              {"rootref", root.hex()},
-                              {"master", broker().rank()}});
-      broker().publish("kvs.setroot." + std::to_string(s), std::move(ev));
+      publish_root(s, {}, /*claim_master=*/true);
     }
   } catch (const FluxException& ex) {
     log::warn("kvs", "rank ", broker().rank(),
@@ -1377,24 +1145,22 @@ Task<void> KvsModule::resync_after_rejoin() {
 // Lookups (get / lookup_ref / fault)
 // ---------------------------------------------------------------------------
 
-Task<ObjPtr> KvsModule::lookup_object(Sha1 ref, int shard) {
+Task<ObjPtr> KvsModule::lookup_object(Sha1 ref, std::uint32_t shard) {
   co_return co_await lookup_chain(ref, {}, shard);
 }
 
 Task<ObjPtr> KvsModule::lookup_chain(Sha1 ref, std::vector<std::string> walk,
-                                     int shard) {
+                                     std::uint32_t shard) {
   std::vector<ObjPtr> objs =
       co_await ensure_objects(std::vector<Sha1>(1, ref), std::move(walk), shard);
   co_return objs[0];
 }
 
 Task<std::vector<ObjPtr>> KvsModule::ensure_objects(
-    std::vector<Sha1> refs, std::vector<std::string> walk, int shard) {
-  const bool authoritative =
-      shard < 0 ? is_master()
-                : is_shard_master(static_cast<std::uint32_t>(shard));
+    std::vector<Sha1> refs, std::vector<std::string> walk,
+    std::uint32_t shard) {
   std::vector<ObjPtr> out(refs.size());
-  if (authoritative) {
+  if (is_shard_master(shard)) {
     for (std::size_t i = 0; i < refs.size(); ++i) out[i] = store_.get(refs[i]);
     co_return out;
   }
@@ -1434,7 +1200,7 @@ Task<std::vector<ObjPtr>> KvsModule::ensure_objects(
       for (const std::string& n : walk) names.push_back(n);
       payload["walk"] = std::move(names);
     }
-    if (shard >= 0) payload["shard"] = static_cast<std::int64_t>(shard);
+    if (shards_ > 1) payload["shard"] = static_cast<std::int64_t>(shard);
 
     // A dropped/corrupted batch must taint or retry, never hang: with a
     // session RPC policy the attempt gets a deadline (+ retries); without
@@ -1448,7 +1214,7 @@ Task<std::vector<ObjPtr>> KvsModule::ensure_objects(
       Message req = Message::request("kvs.load", payload);
       bool failed = false;
       try {
-        if (shard < 0) {
+        if (via_session_tree(shard)) {
           req.nodeid = kNodeUpstream;  // the local module is the requester
           if (policy.has_timeout())
             resp = co_await broker().module_rpc(*this, std::move(req),
@@ -1458,8 +1224,7 @@ Task<std::vector<ObjPtr>> KvsModule::ensure_objects(
         } else {
           // Climb the shard's own tree over a direct edge; a dead master
           // settles the RPC with EHOSTDOWN (misses surface as nulls).
-          const auto up = shard_parent_live(static_cast<std::uint32_t>(shard),
-                                            broker().rank());
+          const auto up = shard_parent_live(shard, broker().rank());
           if (!up) {
             failed = true;
           } else if (policy.has_timeout()) {
@@ -1525,10 +1290,9 @@ Task<std::vector<ObjPtr>> KvsModule::ensure_objects(
 }
 
 Task<void> KvsModule::serve_load(Message req, std::vector<Sha1> refs,
-                                 std::vector<std::string> walk, int shard) {
-  const bool authoritative =
-      shard < 0 ? is_master()
-                : is_shard_master(static_cast<std::uint32_t>(shard));
+                                 std::vector<std::string> walk,
+                                 std::uint32_t shard) {
+  const bool authoritative = is_shard_master(shard);
   std::vector<ObjPtr> objs = co_await ensure_objects(refs, walk, shard);
 
   std::vector<ObjPtr> found;
@@ -1570,7 +1334,7 @@ Task<void> KvsModule::serve_load(Message req, std::vector<Sha1> refs,
     ++wi;
   }
 
-  if (authoritative && shard >= 0 && shard_faults_served_)
+  if (authoritative && shard_faults_served_ != nullptr)
     shard_faults_served_->inc();
   Message resp = req.respond(Json::object({{"missing", std::move(missing)}}));
   if (!found.empty())
@@ -1601,9 +1365,14 @@ void KvsModule::op_load(Message& msg) {
   if (jwalk.is_array())
     for (const Json& n : jwalk.as_array())
       if (n.is_string()) walk.push_back(n.as_string());
-  const int shard = static_cast<int>(msg.payload().get_int("shard", -1));
+  const std::int64_t shard = msg.payload().get_int("shard", 0);
+  if (shard < 0 || shard >= static_cast<std::int64_t>(shards_)) {
+    respond_error(msg, errc::inval, "load: bad shard");
+    return;
+  }
   co_spawn(broker().executor(),
-           serve_load(std::move(msg), std::move(refs), std::move(walk), shard),
+           serve_load(std::move(msg), std::move(refs), std::move(walk),
+                      static_cast<std::uint32_t>(shard)),
            "kvs.load");
 }
 
@@ -1614,14 +1383,17 @@ void KvsModule::op_fault(Message& msg) {
     respond_error(msg, errc::inval, "fault: bad ref");
     return;
   }
-  const std::int64_t shard = msg.payload().get_int("shard", -1);
+  const std::int64_t shard = msg.payload().get_int("shard", 0);
+  if (shard < 0 || shard >= static_cast<std::int64_t>(shards_)) {
+    respond_error(msg, errc::inval, "fault: bad shard");
+    return;
+  }
   const bool authoritative =
-      shard < 0 ? is_master()
-                : is_shard_master(static_cast<std::uint32_t>(shard));
+      is_shard_master(static_cast<std::uint32_t>(shard));
   // Fast path: local hit.
   ObjPtr obj = authoritative ? store_.get(*ref) : cache_.get(*ref, epoch_);
   if (obj) {
-    if (authoritative && shard >= 0 && shard_faults_served_)
+    if (authoritative && shard_faults_served_ != nullptr)
       shard_faults_served_->inc();
     Message resp = msg.respond();
     resp.set_data(object_frame(obj));
@@ -1635,7 +1407,7 @@ void KvsModule::op_fault(Message& msg) {
   // Slow path: fault it in from our own parent, then serve.
   co_spawn(
       broker().executor(),
-      [](KvsModule* self, Message req, Sha1 id, int s) -> Task<void> {
+      [](KvsModule* self, Message req, Sha1 id, std::uint32_t s) -> Task<void> {
         ObjPtr found = co_await self->lookup_object(id, s);
         if (!found) {
           self->respond_error(req, errc::noent,
@@ -1645,7 +1417,7 @@ void KvsModule::op_fault(Message& msg) {
         Message resp = req.respond();
         resp.set_data(object_frame(found));
         self->broker().respond(std::move(resp));
-      }(this, std::move(msg), *ref, static_cast<int>(shard)),
+      }(this, std::move(msg), *ref, static_cast<std::uint32_t>(shard)),
       "kvs.fault");
 }
 
@@ -1660,38 +1432,19 @@ void KvsModule::op_lookup_ref(Message& msg) {
            "kvs.lookup_ref");
 }
 
-Task<void> KvsModule::do_get_root_sharded(Message req, bool ref_only,
-                                          bool want_dir) {
-  if (ref_only) {
-    // The scalar root mirror is shard 0's root (as is the "rootref" every
-    // commit/fence response reports).
-    if (shard_versions_[0] == 0) {
-      try {
-        co_await shard_ready(0);
-      } catch (const FluxException&) {
-        respond_error(req, errc::host_down, "lookup_ref: shard 0 master down");
-        co_return;
-      }
-    }
-    respond_ok(req, Json::object({{"ref", shard_roots_[0].hex()}}));
-    co_return;
-  }
-  if (!want_dir) {
-    respond_error(req, errc::is_dir, "get: '.' is a directory");
-    co_return;
-  }
+Task<void> KvsModule::list_root_merged(Message req) {
   // The logical root directory is the union of the shards' top levels.
   std::set<std::string> merged;
   for (std::uint32_t s = 0; s < shards_; ++s) {
     if (shard_dead_[s]) continue;
-    if (shard_versions_[s] == 0) {
+    if (versions_[s] == 0) {
       try {
-        co_await shard_ready(s);
+        co_await version_reached(s, 1);
       } catch (const FluxException&) {
         continue;
       }
     }
-    ObjPtr dir = co_await lookup_object(shard_roots_[s], static_cast<int>(s));
+    ObjPtr dir = co_await lookup_object(roots_[s], s);
     if (!dir || !dir->is_dir()) continue;
     for (const auto& [name, ref] : dir->entries()) merged.insert(name);
   }
@@ -1704,42 +1457,28 @@ Task<void> KvsModule::do_get(Message req, bool ref_only) {
   const std::string key = req.payload().get_string("key");
   const bool want_dir = req.payload().get_bool("dir", false);
   const auto path = split_key(key);
-
-  int shard = -1;
-  Sha1 cur;
-  if (sharded()) {
-    if (path.empty()) {
-      co_await do_get_root_sharded(std::move(req), ref_only, want_dir);
-      co_return;
-    }
-    const std::uint32_t s = shard_map_.shard_of(path[0]);
-    shard = static_cast<int>(s);
-    if (shard_dead_[s]) {
-      respond_error(req, errc::host_down,
-                    "get: master of shard " + std::to_string(s) + " is down");
-      co_return;
-    }
-    if (shard_versions_[s] == 0) {
-      try {
-        co_await shard_ready(s);
-      } catch (const FluxException&) {
-        respond_error(req, errc::host_down,
-                      "get: master of shard " + std::to_string(s) + " is down");
-        co_return;
-      }
-    }
-    cur = shard_roots_[s];
-  } else {
-    if (root_version_ == 0) {
-      try {
-        co_await version_reached(1);
-      } catch (const FluxException& e) {
-        respond_error(req, e.error().code, "get: no root before shutdown");
-        co_return;
-      }
-    }
-    cur = root_ref_;
+  if (path.empty() && want_dir && !ref_only && shards_ > 1) {
+    co_await list_root_merged(std::move(req));
+    co_return;
   }
+  // The root itself ("." / "") resolves in shard 0, whose root is also the
+  // scalar root ref every commit/fence response reports.
+  const std::uint32_t shard = path.empty() ? 0 : shard_map_.shard_of(path[0]);
+  if (shard_dead_[shard]) {
+    respond_error(req, errc::host_down,
+                  "get: master of shard " + std::to_string(shard) + " is down");
+    co_return;
+  }
+  if (versions_[shard] == 0) {
+    try {
+      co_await version_reached(shard, 1);
+    } catch (const FluxException& e) {
+      respond_error(req, e.error().code,
+                    "get: no root for shard " + std::to_string(shard));
+      co_return;
+    }
+  }
+  Sha1 cur = roots_[shard];
 
   for (std::size_t ci = 0; ci < path.size(); ++ci) {
     const std::string& component = path[ci];
@@ -1752,7 +1491,7 @@ Task<void> KvsModule::do_get(Message req, bool ref_only) {
                                  path.end()),
         shard);
     if (!dir) {
-      if (shard >= 0 && shard_dead_[static_cast<std::uint32_t>(shard)])
+      if (shard_dead_[shard])
         respond_error(req, errc::host_down, "get: shard master died");
       else
         respond_error(req, errc::noent, "get: dangling ref on path of " + key);
@@ -1783,7 +1522,7 @@ Task<void> KvsModule::do_get(Message req, bool ref_only) {
 
   ObjPtr obj = co_await lookup_object(cur, shard);
   if (!obj) {
-    if (shard >= 0 && shard_dead_[static_cast<std::uint32_t>(shard)])
+    if (shard_dead_[shard])
       respond_error(req, errc::host_down, "get: shard master died");
     else
       respond_error(req, errc::noent, "get: dangling terminal ref for " + key);
@@ -1817,14 +1556,14 @@ Task<void> KvsModule::do_get(Message req, bool ref_only) {
 
 void KvsModule::op_get_version(Message& msg) {
   Json out = Json::object({{"version", root_version_},
-                           {"rootref", root_ref_.hex()}});
-  if (sharded()) {
+                           {"rootref", roots_[0].hex()}});
+  if (shards_ > 1) {
     Json vv = Json::array();
     Json rootrefs = Json::array();
     Json masters = Json::array();
     for (std::uint32_t s = 0; s < shards_; ++s) {
-      vv.push_back(static_cast<std::int64_t>(shard_versions_[s]));
-      rootrefs.push_back(shard_roots_[s].hex());
+      vv.push_back(static_cast<std::int64_t>(versions_[s]));
+      rootrefs.push_back(roots_[s].hex());
       masters.push_back(static_cast<std::int64_t>(shard_masters_[s]));
     }
     out["vv"] = std::move(vv);
@@ -1844,7 +1583,7 @@ void KvsModule::op_wait_version(Message& msg) {
   co_spawn(
       broker().executor(),
       [](KvsModule* self, Message req, std::uint64_t v) -> Task<void> {
-        co_await self->version_reached(v);
+        co_await self->version_reached(kScalar, v);
         self->op_get_version(req);
       }(this, std::move(msg), version),
       "kvs.wait_version");
@@ -1893,12 +1632,12 @@ void KvsModule::op_stats(Message& msg) {
     out["recovered_version"] = persist_stats_.recovered_version;
     out["truncated_bytes"] = persist_stats_.truncated_bytes;
   }
-  if (sharded()) {
+  if (shards_ > 1) {
     out["shards"] = static_cast<std::int64_t>(shards_);
     out["shard_master"] = my_shard_.has_value();
     if (my_shard_) out["shard"] = static_cast<std::int64_t>(*my_shard_);
     Json vv = Json::array();
-    for (const std::uint64_t v : shard_versions_)
+    for (const std::uint64_t v : versions_)
       vv.push_back(static_cast<std::int64_t>(v));
     out["vv"] = std::move(vv);
   }

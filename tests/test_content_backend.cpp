@@ -131,7 +131,7 @@ TEST(GoldenContentLog, GoldenFilesStillRecover) {
   }
   ContentStore store;
   FileLogBackend backend(path);
-  const ContentBackend::Recovered rec = backend.recover(store);
+  const ContentBackend::Recovered rec = backend.recover(store, /*shards=*/2);
   EXPECT_EQ(rec.objects, 1u);
   EXPECT_TRUE(rec.found_checkpoint);
   ASSERT_EQ(rec.versions.size(), 2u);  // checkpoint supersedes the root
@@ -202,6 +202,59 @@ TEST_F(ContentBackendTest, AppendSyncRecoverRoundTrip) {
   EXPECT_TRUE(store.contains(a->id));
   EXPECT_TRUE(store.contains(b->id));
   EXPECT_EQ(rec.truncated_bytes, 0u);
+}
+
+/// Writes an object, a good shard-0 root, then a well-framed root record
+/// naming `bad_shard`; returns the durable size before the bad record.
+std::uint64_t write_log_with_root_for_shard(const std::string& path,
+                                            std::uint32_t bad_shard,
+                                            const ObjPtr& obj) {
+  ContentStore store;
+  FileLogBackend backend(path);
+  (void)backend.recover(store);
+  backend.append_object(*obj);
+  backend.append_root(0, 1, obj->id);
+  backend.sync();
+  const std::uint64_t good = backend.durable_bytes();
+  backend.append_root(bad_shard, 2, obj->id);
+  backend.sync();
+  backend.close();
+  return good;
+}
+
+TEST_F(ContentBackendTest, HugeShardRootRecordIsTruncatedNotAllocated) {
+  // A checksummed root record naming shard 2^28 must not size the recovered
+  // vectors (that would ask for gigabytes): the caller's shard count bounds
+  // them, and the record is dropped like a torn tail.
+  const std::string path = temp_log();
+  const ObjPtr a = make_val_object(Json::object({{"h", std::int64_t{1}}}));
+  const std::uint64_t good = write_log_with_root_for_shard(path, 1u << 28, a);
+  ContentStore store;
+  FileLogBackend backend(path);
+  const ContentBackend::Recovered rec = backend.recover(store, /*shards=*/2);
+  ASSERT_EQ(rec.versions.size(), 2u);
+  ASSERT_TRUE(rec.has_root(0));
+  EXPECT_EQ(rec.versions[0], 1u);
+  EXPECT_FALSE(rec.has_root(1));
+  EXPECT_GT(rec.truncated_bytes, 0u);
+  EXPECT_EQ(std::filesystem::file_size(path), good);
+}
+
+TEST_F(ContentBackendTest, WrappingShardRootRecordIsTruncatedNotWritten) {
+  // shard = 0xFFFFFFFF is out of range for any session (and `shard + 1`
+  // wraps to 0): dropped like a torn tail, never indexed.
+  const std::string path = temp_log();
+  const ObjPtr a = make_val_object(Json::object({{"w", std::int64_t{1}}}));
+  const std::uint64_t good =
+      write_log_with_root_for_shard(path, 0xFFFFFFFFu, a);
+  ContentStore store;
+  FileLogBackend backend(path);
+  const ContentBackend::Recovered rec = backend.recover(store);
+  ASSERT_EQ(rec.versions.size(), 1u);
+  ASSERT_TRUE(rec.has_root(0));
+  EXPECT_EQ(rec.roots[0], a->id);
+  EXPECT_GT(rec.truncated_bytes, 0u);
+  EXPECT_EQ(std::filesystem::file_size(path), good);
 }
 
 TEST_F(ContentBackendTest, UnsyncedTailIsLostOnCrash) {
@@ -314,7 +367,7 @@ TEST_F(ContentBackendTest, CheckpointSupersedesRootRecords) {
   }
   ContentStore store;
   FileLogBackend backend(path);
-  const ContentBackend::Recovered rec = backend.recover(store);
+  const ContentBackend::Recovered rec = backend.recover(store, /*shards=*/2);
   EXPECT_TRUE(rec.found_checkpoint);
   ASSERT_EQ(rec.versions.size(), 2u);
   EXPECT_EQ(rec.versions[0], 5u);

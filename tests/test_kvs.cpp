@@ -613,7 +613,7 @@ TEST(KvsSharded, TuplesLandOnOwningShardsOnly) {
   auto* root =
       dynamic_cast<KvsModule*>(s.session().broker(0).find_module("kvs"));
   ASSERT_NE(root, nullptr);
-  ASSERT_TRUE(root->sharded());
+  ASSERT_EQ(root->shards(), 4u);
   const ShardMap& map = root->shard_map();
   // Each shard master's store holds exactly its own top-level dirs: its root
   // object lists precisely the keys the ShardMap routes to it.
@@ -707,7 +707,7 @@ TEST(KvsSharded, SingleShardConfigMatchesLegacy) {
   EXPECT_FALSE(stats.payload().contains("shards"));
   auto* root =
       dynamic_cast<KvsModule*>(s.session().broker(0).find_module("kvs"));
-  EXPECT_FALSE(root->sharded());
+  EXPECT_EQ(root->shards(), 1u);
   EXPECT_TRUE(root->is_master());
 }
 

@@ -176,18 +176,5 @@ TEST(Wexec, CustomRegisteredCommand) {
   }(h.get(), r.id));
 }
 
-// The one test that keeps the deprecated direct-to-wexec shim exercised for
-// its final release (everything else goes through h.job()).
-TEST(Wexec, DeprecatedDirectRunShim) {
-  SimSession s(SimSession::default_config(4));
-  auto h = s.attach(1);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  Message resp = s.run(wexec_run(*h, "legacy", "hostname"));
-#pragma GCC diagnostic pop
-  EXPECT_EQ(resp.payload().get_int("ntasks"), 4);
-  EXPECT_TRUE(resp.payload().get_bool("success"));
-}
-
 }  // namespace
 }  // namespace flux
