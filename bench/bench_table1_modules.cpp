@@ -123,6 +123,7 @@ int main() {
   timed("wexec", "bulk remote processes with stdio captured in the KVS",
         "wexec.run(hostname)", [](Handle* hd) -> Task<void> {
           Json payload = Json::object({{"jobid", "t1"},
+                                       {"dir", "lwj.t1"},
                                        {"cmd", "hostname"},
                                        {"args", Json::object()},
                                        {"ranks", Json()}});
@@ -133,7 +134,8 @@ int main() {
 
   timed("resvc", "resources enumerated in the KVS and allocated",
         "resvc.alloc+free", [](Handle* hd) -> Task<void> {
-          Json a = Json::object({{"jobid", "t1"}, {"nnodes", 4}});
+          Json a = Json::object(
+              {{"jobid", "t1"}, {"dir", "lwj.t1"}, {"nnodes", 4}});
           co_await hd->request("resvc.alloc").payload(std::move(a)).call();
           Json f = Json::object({{"jobid", "t1"}});
           co_await hd->request("resvc.free").payload(std::move(f)).call();

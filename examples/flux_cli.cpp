@@ -322,8 +322,9 @@ const std::map<std::string, Command>& commands() {
        {"resource-alloc <jobid> <nnodes>", "allocate nodes to a job",
         [](Cli& c, const Args& a) {
           if (int rc = need(a, 2, "resource-alloc <jobid> <nnodes>")) return rc;
-          Json payload =
-              Json::object({{"jobid", a[0]}, {"nnodes", std::stoll(a[1])}});
+          Json payload = Json::object({{"jobid", a[0]},
+                                       {"dir", "lwj." + a[0]},
+                                       {"nnodes", std::stoll(a[1])}});
           Message r = c.h->rpc("resvc.alloc", std::move(payload));
           std::printf("%s\n", r.payload().dump().c_str());
           return r.errnum;

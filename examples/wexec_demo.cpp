@@ -32,7 +32,8 @@ Task<void> demo(Handle* h, std::uint32_t nnodes) {
                 static_cast<unsigned long long>(jh.id()),
                 static_cast<long long>(r.ntasks),
                 std::string(job_state_name(r.state)).c_str());
-    const std::string base = "lwj." + std::to_string(jh.id()) + ".";
+    Json stdio = co_await kvs.get(jh.kvs_dir() + ".stdio");
+    const std::string base = stdio.as_string() + ".";
     for (std::uint32_t rank = 0; rank < std::min(nnodes, 4u); ++rank) {
       Json out = co_await kvs.get(base + std::to_string(rank) + ".stdout");
       std::printf("  rank %u stdout: %s\n", rank,

@@ -7,7 +7,7 @@ namespace flux {
 JobBuilder Handle::job() { return JobBuilder(*this); }
 
 std::string JobHandle::kvs_dir() const {
-  return "job." + std::to_string(id_);
+  return job_kvs_dir("job", id_);
 }
 
 Task<JobHandle> JobBuilder::submit() {

@@ -43,7 +43,8 @@ class JobHandle {
 
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
   [[nodiscard]] bool valid() const noexcept { return h_ != nullptr && id_ != 0; }
-  /// The job's KVS directory ("job.<id>").
+  /// The job's KVS directory, job_kvs_dir("job", id) (core/jobspec.hpp).
+  /// Its "stdio" entry names the job's wexec capture directory.
   [[nodiscard]] std::string kvs_dir() const;
 
   /// Park until the job reaches a terminal state; returns the result.

@@ -189,7 +189,7 @@ Task<void> jobs_post_check(Handle* h, const std::vector<std::uint64_t>* ids,
   std::map<std::int64_t, std::vector<std::pair<std::int64_t, std::int64_t>>>
       busy;
   for (const std::uint64_t id : *ids) {
-    const std::string base = "job." + std::to_string(id) + ".";
+    const std::string base = job_kvs_dir("job", id) + ".";
     Json log;
     try {
       log = co_await kvs.get(base + "eventlog");

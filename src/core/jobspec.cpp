@@ -21,6 +21,18 @@ JobState job_state_from_name(std::string_view name) noexcept {
   return JobState::Pending;
 }
 
+std::string job_kvs_dir(std::string_view ns, std::uint64_t id) {
+  constexpr std::uint64_t kFanout = 64;
+  std::string dir(ns);
+  dir += '.';
+  dir += std::to_string(id / (kFanout * kFanout));
+  dir += '.';
+  dir += std::to_string((id / kFanout) % kFanout);
+  dir += '.';
+  dir += std::to_string(id);
+  return dir;
+}
+
 Json JobSpec::to_json() const {
   Json subs = Json::array();
   for (const JobSpec& s : subjobs) subs.push_back(s.to_json());

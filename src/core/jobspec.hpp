@@ -7,7 +7,9 @@
 // Instance (a child Flux instance with its own policy and workload).
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exec/executor.hpp"
@@ -21,6 +23,16 @@ enum class JobState { Pending, Running, Complete, Canceled, Failed };
 std::string_view job_state_name(JobState s) noexcept;
 /// Inverse of job_state_name (unknown strings map to Pending).
 JobState job_state_from_name(std::string_view name) noexcept;
+
+/// KVS directory of job `id` under namespace `ns` ("job" for the
+/// job-manager's record, "lwj" for the wexec/resvc capture):
+/// `<ns>.<id/4096>.<(id/64)%64>.<id>`. A content-addressed directory is
+/// rewritten and re-hashed whole on every commit into it (paper §V, Fig. 4a),
+/// so jobs live under a fixed 64-way radix path instead of one flat
+/// directory: no directory on a job's path holds more than 64 entries for the
+/// first 262144 jobs, and the top level grows by one entry per 4096 jobs.
+/// The only place the layout is spelled.
+std::string job_kvs_dir(std::string_view ns, std::uint64_t id);
 
 struct JobSpec {
   std::string name;

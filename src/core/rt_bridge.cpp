@@ -64,7 +64,11 @@ Task<void> RtInstance::launch(std::uint64_t jobid, Allocation alloc) {
   for (ResourceId node : alloc.nodes)
     ranks.push_back(std::stoll(graph_.at(node).name.substr(1)));
 
+  // RtInstance jobs keep a flat capture dir: their ids come from this
+  // instance's scheduler, not the session job-manager.
+  const std::string dir = "lwj." + lwj_name(jobid);
   Json run = Json::object({{"jobid", lwj_name(jobid)},
+                           {"dir", dir},
                            {"cmd", job.cmd},
                            {"args", job.args},
                            {"ranks", std::move(ranks)}});
@@ -82,8 +86,7 @@ Task<void> RtInstance::launch(std::uint64_t jobid, Allocation alloc) {
     Json record = Json::object({{"state", success ? "complete" : "failed"},
                                 {"nnodes", job.spec.request.nnodes},
                                 {"name", job.spec.name}});
-    co_await kvs_->put("lwj." + lwj_name(jobid) + ".record",
-                       std::move(record));
+    co_await kvs_->put(dir + ".record", std::move(record));
     co_await kvs_->commit();
   } catch (const FluxException& e) {
     log::warn("rt", "job ", jobid, " record write failed: ", e.what());

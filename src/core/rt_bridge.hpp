@@ -5,7 +5,7 @@
 // an RtInstance additionally *executes* its app jobs on a live comms
 // session: node allocations map to broker ranks (via the resvc module's
 // inventory), job processes launch in bulk through wexec, their stdio and
-// exit codes land in the KVS under lwj.<jobid>.*, and the job table itself
+// exit codes land in the KVS under lwj.rt<jobid>.*, and the job table itself
 // is mirrored into the KVS — the paper's "richer provenance on jobs".
 #pragma once
 

@@ -16,7 +16,7 @@ constexpr int kMaxAllocRetries = 3;
 constexpr std::size_t kTerminalKeep = 1024;
 
 std::string job_key(std::uint64_t id, std::string_view leaf) {
-  return "job." + std::to_string(id) + "." + std::string(leaf);
+  return job_kvs_dir("job", id) + "." + std::string(leaf);
 }
 
 }  // namespace
@@ -179,6 +179,7 @@ Task<void> JobManager::dispatch(std::uint64_t id) {
   // 1. Authoritative allocation from resvc.
   const Json alloc_req =
       Json::object({{"jobid", std::to_string(id)},
+                    {"dir", job_kvs_dir("lwj", id)},
                     {"nnodes", rec->spec.request.nnodes}});
   Message alloc_resp;
   bool alloc_threw = false;  // timeout / host_down arrive as exceptions
@@ -255,6 +256,7 @@ Task<void> JobManager::dispatch(std::uint64_t id) {
                   ? Json::object({{"us", rec->spec.walltime.count() / 1000}})
                   : rec->spec.args;
   const Json run_req = Json::object({{"jobid", std::to_string(id)},
+                                     {"dir", job_kvs_dir("lwj", id)},
                                      {"cmd", cmd},
                                      {"args", std::move(args)},
                                      {"ranks", ranks_json}});
@@ -333,8 +335,7 @@ void JobManager::finish_terminal(JobRecord& rec, Json exits,
   stage_state(rec);
   kvs_->txn().put(job_key(rec.id, "result"), rec.result);
   if (!rec.ranks.empty())
-    kvs_->txn().put(job_key(rec.id, "stdio"),
-                    "lwj." + std::to_string(rec.id));
+    kvs_->txn().put(job_key(rec.id, "stdio"), job_kvs_dir("lwj", rec.id));
   schedule_flush();
 
   switch (rec.state) {

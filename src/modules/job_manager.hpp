@@ -10,13 +10,15 @@
 //   - the dispatch path: resvc.alloc -> wexec.run -> resvc.free,
 //   - the JobState machine Pending -> Running -> Complete/Failed/Canceled,
 //     with every transition appended to a KVS event log,
-//   - the job.<id>.* KVS namespace (single writer):
-//       job.<id>.jobspec    submitted JobSpec (JSON)
-//       job.<id>.state      current state name ("pending", "running", ...)
-//       job.<id>.eventlog   array of {t, name, ...context} entries
-//       job.<id>.ranks      allocated broker ranks (once Running)
-//       job.<id>.result     {id, state, success, exits, ntasks} (terminal)
-//       job.<id>.stdio      ref to the wexec capture dir ("lwj.<id>")
+//   - each job's KVS directory D = job_kvs_dir("job", id), a radix path
+//     whose directories stay small (core/jobspec.hpp), single writer:
+//       D.jobspec    submitted JobSpec (JSON)
+//       D.state      current state name ("pending", "running", ...)
+//       D.eventlog   array of {t, name, ...context} entries
+//       D.ranks      allocated broker ranks (once Running)
+//       D.result     {id, state, success, exits, ntasks} (terminal)
+//       D.stdio      ref to the capture dir job_kvs_dir("lwj", id), which
+//                    the manager hands to resvc.alloc and wexec.run as "dir"
 //   KVS writes coalesce: transitions stage into the client txn and a single
 //   in-flight commit coroutine flushes them (the KVS watch-refresh pattern).
 //

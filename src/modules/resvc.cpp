@@ -49,9 +49,11 @@ void Resvc::op_alloc(Message& msg) {
     return;
   }
   const std::string jobid = msg.payload().get_string("jobid");
+  std::string dir = msg.payload().get_string("dir");
   const std::int64_t nnodes = msg.payload().get_int("nnodes", 1);
-  if (jobid.empty() || nnodes <= 0) {
-    respond_error(msg, errc::inval, "resvc.alloc: need jobid and nnodes > 0");
+  if (jobid.empty() || dir.empty() || nnodes <= 0) {
+    respond_error(msg, errc::inval,
+                  "resvc.alloc: need jobid, dir and nnodes > 0");
     return;
   }
   if (allocations_.contains(jobid)) {
@@ -67,17 +69,18 @@ void Resvc::op_alloc(Message& msg) {
   for (auto it = free_.begin(); std::cmp_less(ranks.size(), nnodes);)
     ranks.push_back(*it), it = free_.erase(it);
   allocations_.emplace(jobid, ranks);
-  co_spawn(broker().executor(), record_alloc(std::move(msg), jobid, ranks),
+  co_spawn(broker().executor(),
+           record_alloc(std::move(msg), jobid, std::move(dir), ranks),
            "resvc.record");
 }
 
-Task<void> Resvc::record_alloc(Message req, std::string jobid,
+Task<void> Resvc::record_alloc(Message req, std::string jobid, std::string dir,
                                std::vector<NodeId> ranks) {
   Json list = Json::array();
   for (NodeId r : ranks) list.push_back(r);
   ObjPtr obj = make_val_object(list);
   Message put = Message::request(
-      "kvs.put", Json::object({{"key", "lwj." + jobid + ".resources"}}));
+      "kvs.put", Json::object({{"key", dir + ".resources"}}));
   put.set_data(std::shared_ptr<const std::string>(obj, &obj->bytes));
   Message put_resp = co_await broker().module_rpc(*this, std::move(put));
   Message commit_resp =

@@ -4,8 +4,11 @@
 // The root instance owns the session's node inventory: at startup it
 // enumerates every broker rank into the KVS (resource.nodes.<rank> =
 // {cores, mem_gb, state}) and then serves first-fit node allocations.
-// Allocations are recorded under lwj.<jobid>.resources. live.down events
-// take nodes out of the pool (and update the KVS enumeration).
+// Allocations are recorded under <dir>.resources, where `dir` is the
+// caller's capture directory sent with resvc.alloc {jobid, dir, nnodes} (the
+// job-manager sends job_kvs_dir("lwj", id)); resvc never derives a KVS path
+// from the jobid. live.down events take nodes out of the pool (and update
+// the KVS enumeration).
 //
 // This is the *flat* per-session allocator the paper's prototype had; the
 // hierarchical, multi-level scheduling of §III lives above it in src/sched
@@ -35,7 +38,7 @@ class Resvc final : public ModuleBase {
   void op_status(Message& msg);
 
   Task<void> enumerate();
-  Task<void> record_alloc(Message req, std::string jobid,
+  Task<void> record_alloc(Message req, std::string jobid, std::string dir,
                           std::vector<NodeId> ranks);
   Task<void> mark_node_state(NodeId rank, std::string state);
 

@@ -4,14 +4,19 @@
 // Substitution (see DESIGN.md): instead of fork/exec of Linux binaries,
 // processes are coroutine tasks looked up in a CommandRegistry — the same
 // code path (root fans the launch out, per-rank spawn, stdio capture into
-// lwj.<jobid>.<rank>.*, signal delivery, exit-status reduction) without OS
-// process management. Built-in commands: hostname, echo, sleep, spin, exit,
-// kvsput.
+// <dir>.<rank>.{stdout,stderr,exitcode}, signal delivery, exit-status
+// reduction) without OS process management. Built-in commands: hostname,
+// echo, sleep, spin, exit, kvsput.
+//
+// The capture directory is the caller's choice, sent as `dir`: the
+// job-manager sends job_kvs_dir("lwj", id) (core/jobspec.hpp), other callers
+// their own. wexec never derives a KVS path from the jobid.
 //
 // Protocol:
-//   wexec.run  {jobid, cmd, args, ranks?}  client -> root; responds when all
+//   wexec.run  {jobid, dir, cmd, args, ranks?}
+//                                          client -> root; responds when all
 //                                          tasks have exited and their output
-//                                          has been committed to the KVS.
+//                                          has been committed under `dir`.
 //   wexec.exec  (event, root -> all)       per-rank spawn trigger
 //   wexec.complete {jobid, count, exits}   reduction back to the root
 //   wexec.kill {jobid, signum}             client -> root -> signal event
@@ -115,8 +120,8 @@ class Wexec final : public ModuleBase {
   void op_kill(Message& msg);
   void op_complete(Message& msg);
   void spawn_task(const std::string& jobid, const std::string& cmd, Json args);
-  Task<void> run_task(std::string jobid, std::string cmd, Json args,
-                      std::int64_t ntasks);
+  Task<void> run_task(std::string jobid, std::string dir, std::string cmd,
+                      Json args, std::int64_t ntasks);
   void report_complete(const std::string& jobid, int exit_code);
   void flush_complete(const std::string& jobid);
 

@@ -81,9 +81,10 @@ TEST(Integration, FullStackConcurrentWorkloads) {
   auto check = s.attach(0);
   s.run([](Handle* h, std::uint64_t jobid) -> Task<void> {
     KvsClient kvs(*h);
-    const std::string base = "lwj." + std::to_string(jobid);
-    (void)co_await kvs.get(base + ".31.stdout");        // wexec capture
-    Json st = co_await kvs.get("job." + std::to_string(jobid) + ".state");
+    const std::string job_dir = job_kvs_dir("job", jobid);
+    Json stdio = co_await kvs.get(job_dir + ".stdio");
+    (void)co_await kvs.get(stdio.as_string() + ".31.stdout");  // wexec capture
+    Json st = co_await kvs.get(job_dir + ".state");
     if (st != Json("complete"))
       throw FluxException(Error(errc::proto, "job state not folded back"));
     auto mon = co_await kvs.list_dir("mon.data.load");  // mon aggregates

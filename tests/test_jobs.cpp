@@ -3,6 +3,9 @@
 // h.job() client API (ctest -L jobs).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+
 #include "api/job_client.hpp"
 #include "sim_fixture.hpp"
 
@@ -10,6 +13,60 @@ namespace flux {
 namespace {
 
 using testing::SimSession;
+
+/// Submit `n` short synthetic 1-node jobs back to back, then wait for every
+/// one; returns their ids in submission order.
+Task<std::vector<std::uint64_t>> run_jobs(Handle* hd, int n) {
+  std::vector<JobHandle> handles;
+  for (int i = 0; i < n; ++i) {
+    JobHandle jh = co_await hd->job()
+                       .nnodes(1)
+                       .walltime(std::chrono::microseconds(10))
+                       .submit();
+    handles.push_back(jh);
+  }
+  std::vector<std::uint64_t> ids;
+  for (JobHandle& jh : handles) {
+    (void)co_await jh.wait();
+    ids.push_back(jh.id());
+  }
+  co_return ids;
+}
+
+/// Walk the KVS tree under `dir`; records the entry count of every directory
+/// into `sizes` (leaves answer list_dir with ENOTDIR).
+Task<void> dir_sizes(KvsClient* kvs, std::string dir,
+                     std::map<std::string, std::size_t>* sizes) {
+  std::vector<std::string> names;
+  try {
+    names = co_await kvs->list_dir(dir);
+  } catch (const FluxException& e) {
+    if (e.error().code != errc::not_dir) throw;
+    co_return;
+  }
+  (*sizes)[dir] = names.size();
+  for (const std::string& n : names)
+    co_await dir_sizes(kvs, dir + "." + n, sizes);
+}
+
+TEST(JobKvsDir, RadixPathComponents) {
+  struct Case {
+    std::uint64_t id;
+    const char* want;
+  };
+  const Case cases[] = {
+      {1, "job.0.0.1"},
+      {63, "job.0.0.63"},
+      {64, "job.0.1.64"},
+      {4095, "job.0.63.4095"},
+      {4096, "job.1.0.4096"},
+      {262143, "job.63.63.262143"},
+      {262144, "job.64.0.262144"},
+      {UINT64_MAX, "job.4503599627370495.63.18446744073709551615"},
+  };
+  for (const Case& c : cases) EXPECT_EQ(job_kvs_dir("job", c.id), c.want);
+  EXPECT_EQ(job_kvs_dir("lwj", 4096), "lwj.1.0.4096");
+}
 
 TEST(Jobs, SubmitWaitComplete) {
   SimSession s(SimSession::default_config(8));
@@ -242,6 +299,55 @@ TEST(Jobs, StatsExposedThroughRegistry) {
   EXPECT_EQ(hists.at("job-manager.alloc_ns").get_int("count"), 3);
   EXPECT_EQ(stats.get_int("queue_depth", -1), 0);
   EXPECT_EQ(stats.get_int("running", -1), 0);
+}
+
+TEST(Jobs, JobDirectoriesStayBounded) {
+  SimSession s(SimSession::default_config(4));
+  auto h = s.attach(1);
+  std::map<std::string, std::size_t> sizes;
+  std::vector<std::uint64_t> ids =
+      s.run([](Handle* hd, std::map<std::string, std::size_t>* out)
+                -> Task<std::vector<std::uint64_t>> {
+        std::vector<std::uint64_t> done = co_await run_jobs(hd, 300);
+        KvsClient kvs(*hd);
+        co_await dir_sizes(&kvs, "job", out);
+        co_await dir_sizes(&kvs, "lwj", out);
+        co_return done;
+      }(h.get(), &sizes));
+  ASSERT_EQ(ids.size(), 300u);
+  for (const auto& [dir, n] : sizes) EXPECT_LE(n, 64u) << dir;
+  // Every job's record and capture directory is present under the layout.
+  for (std::uint64_t id : ids) {
+    EXPECT_TRUE(sizes.contains(job_kvs_dir("job", id))) << id;
+    EXPECT_TRUE(sizes.contains(job_kvs_dir("lwj", id))) << id;
+  }
+}
+
+TEST(Jobs, EvictedJobAnsweredFromKvs) {
+  // The manager keeps the last 1024 terminal jobs in memory; older ones are
+  // answered from their KVS record (job-manager's answer_from_kvs).
+  SimSession s(SimSession::default_config(2));
+  auto h = s.attach(1);
+  s.run([](Handle* hd) -> Task<void> {
+    std::vector<std::uint64_t> ids = co_await run_jobs(hd, 1100);
+    if (ids.front() != 1)
+      throw FluxException(Error(errc::proto, "first jobid is not 1"));
+    Message list = co_await hd->request("job-manager.list").call();
+    for (const Json& j : list.payload().at("jobs").as_array())
+      if (j.get_int("id") == 1)
+        throw FluxException(Error(errc::proto, "job 1 was not evicted"));
+    JobHandle first(*hd, 1);
+    JobResult r = co_await first.wait();
+    if (r.id != 1 || r.state != JobState::Complete || !r.success)
+      throw FluxException(Error(errc::proto, "evicted wait answered wrong"));
+    if (co_await first.state() != JobState::Complete)
+      throw FluxException(Error(errc::proto, "evicted state answered wrong"));
+    // The answer is the record stored under the radix layout.
+    KvsClient kvs(*hd);
+    Json result = co_await kvs.get(job_kvs_dir("job", 1) + ".result");
+    if (result.get_int("id") != 1)
+      throw FluxException(Error(errc::proto, "no result under job dir"));
+  }(h.get()));
 }
 
 TEST(Jobs, BrokerCrashMidJobNeverOrphansAllocation) {

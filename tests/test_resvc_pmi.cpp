@@ -33,11 +33,12 @@ TEST(Resvc, AllocateRecordsAndFrees) {
   auto h = s.attach(5);
   s.run([](Handle* hd) -> Task<void> {
     KvsClient kvs(*hd);
-    Json req = Json::object({{"jobid", "lwj1"}, {"nnodes", 3}});
+    Json req = Json::object(
+        {{"jobid", "lwj1"}, {"dir", "lwj.lwj1"}, {"nnodes", 3}});
     Message resp = co_await hd->request("resvc.alloc").payload(std::move(req)).call();
     if (resp.payload().at("ranks").size() != 3)
       throw FluxException(Error(errc::proto, "expected 3 ranks"));
-    // Allocation recorded in the KVS under the job.
+    // Allocation recorded in the KVS under the caller's dir.
     Json rec = co_await kvs.get("lwj.lwj1.resources");
     if (rec.size() != 3)
       throw FluxException(Error(errc::proto, "allocation not recorded"));
@@ -52,12 +53,28 @@ TEST(Resvc, AllocateRecordsAndFrees) {
   }(h.get()));
 }
 
+TEST(Resvc, AllocWithoutDirIsEinval) {
+  // resvc never derives a KVS path from the jobid: the caller names it.
+  SimSession s(SimSession::default_config(4));
+  auto h = s.attach(0);
+  try {
+    s.run([](Handle* hd) -> Task<void> {
+      Json req = Json::object({{"jobid", "nodir"}, {"nnodes", 1}});
+      co_await hd->request("resvc.alloc").payload(std::move(req)).call();
+    }(h.get()));
+    FAIL() << "expected EINVAL";
+  } catch (const FluxException& e) {
+    EXPECT_EQ(e.error().code, errc::inval);
+  }
+}
+
 TEST(Resvc, ExhaustionIsEnospc) {
   SimSession s(SimSession::default_config(4));
   auto h = s.attach(0);
   try {
     s.run([](Handle* hd) -> Task<void> {
-      Json req = Json::object({{"jobid", "big"}, {"nnodes", 99}});
+      Json req =
+          Json::object({{"jobid", "big"}, {"dir", "lwj.big"}, {"nnodes", 99}});
       co_await hd->request("resvc.alloc").payload(std::move(req)).call();
     }(h.get()));
     FAIL() << "expected ENOSPC";
@@ -71,9 +88,11 @@ TEST(Resvc, DuplicateJobidIsEexist) {
   auto h = s.attach(0);
   try {
     s.run([](Handle* hd) -> Task<void> {
-      Json r1 = Json::object({{"jobid", "dup"}, {"nnodes", 1}});
+      Json r1 =
+          Json::object({{"jobid", "dup"}, {"dir", "lwj.dup"}, {"nnodes", 1}});
       co_await hd->request("resvc.alloc").payload(std::move(r1)).call();
-      Json r2 = Json::object({{"jobid", "dup"}, {"nnodes", 1}});
+      Json r2 =
+          Json::object({{"jobid", "dup"}, {"dir", "lwj.dup"}, {"nnodes", 1}});
       co_await hd->request("resvc.alloc").payload(std::move(r2)).call();
     }(h.get()));
     FAIL() << "expected EEXIST";

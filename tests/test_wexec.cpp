@@ -1,7 +1,7 @@
 // Execution through the job pipeline: bulk launch, stdio capture into the
 // KVS, cancellation, exit aggregation — all via the fluent h.job() API
-// (ingest -> queue -> schedule -> wexec -> KVS fold-back). One test keeps
-// the deprecated direct-to-wexec shim alive for its release.
+// (ingest -> queue -> schedule -> wexec -> KVS fold-back). Two tests drive
+// wexec.run directly, as RtInstance does, with the caller's own flat dir.
 #include <gtest/gtest.h>
 
 #include "api/job_client.hpp"
@@ -38,7 +38,7 @@ TEST(Wexec, StdioCapturedInKvs) {
   auto h = s.attach(1);
   JobResult r = s.run(run_job(h.get(), "hostname", Json::object(), 4));
   ASSERT_TRUE(r.success);
-  const std::string base = "lwj." + std::to_string(r.id) + ".";
+  const std::string base = job_kvs_dir("lwj", r.id) + ".";
   s.run([](Handle* hd, std::string prefix) -> Task<void> {
     KvsClient kvs(*hd);
     for (int rk = 0; rk < 4; ++rk) {
@@ -54,17 +54,20 @@ TEST(Wexec, StdioCapturedInKvs) {
 
 TEST(Wexec, AllocatedSubsetGetsTasks) {
   // A 3-node job on an 8-broker session: exactly the allocated ranks (from
-  // job.<id>.ranks) run tasks; non-allocated ranks have no stdio entries.
+  // the job dir's "ranks") run tasks; non-allocated ranks have no stdio
+  // entries under the capture dir its "stdio" ref names.
   SimSession s(SimSession::default_config(8));
   auto h = s.attach(0);
   JobResult r = s.run(run_job(h.get(), "hostname", Json::object(), 3));
   EXPECT_EQ(r.ntasks, 3);
   s.run([](Handle* hd, std::uint64_t id) -> Task<void> {
     KvsClient kvs(*hd);
-    Json ranks = co_await kvs.get("job." + std::to_string(id) + ".ranks");
+    const std::string job_dir = job_kvs_dir("job", id);
+    Json ranks = co_await kvs.get(job_dir + ".ranks");
     if (ranks.size() != 3)
       throw FluxException(Error(errc::proto, "wrong allocation width"));
-    const std::string base = "lwj." + std::to_string(id) + ".";
+    Json stdio = co_await kvs.get(job_dir + ".stdio");
+    const std::string base = stdio.as_string() + ".";
     for (const Json& rk : ranks.as_array())
       (void)co_await kvs.get(base + std::to_string(rk.as_int()) + ".stdout");
     // Find a rank outside the allocation; it must have no capture.
@@ -82,6 +85,42 @@ TEST(Wexec, AllocatedSubsetGetsTasks) {
       break;
     }
   }(h.get(), r.id));
+}
+
+TEST(Wexec, DirectRunCapturesUnderCallerDir) {
+  SimSession s(SimSession::default_config(4));
+  auto h = s.attach(1);
+  s.run([](Handle* hd) -> Task<void> {
+    Json run = Json::object({{"jobid", "direct1"},
+                             {"dir", "lwj.direct1"},
+                             {"cmd", "hostname"},
+                             {"args", Json::object()},
+                             {"ranks", Json()}});
+    Message resp =
+        co_await hd->request("wexec.run").payload(std::move(run)).call();
+    if (!resp.payload().get_bool("success"))
+      throw FluxException(Error(errc::proto, "direct run failed"));
+    KvsClient kvs(*hd);
+    Json out = co_await kvs.get("lwj.direct1.2.stdout");
+    if (out.as_array().at(0) != Json("node2"))
+      throw FluxException(Error(errc::proto, "capture not under dir"));
+  }(h.get()));
+}
+
+TEST(Wexec, DirectRunWithoutDirIsEinval) {
+  // wexec never derives a KVS path from the jobid: the caller names it.
+  SimSession s(SimSession::default_config(2));
+  auto h = s.attach(0);
+  try {
+    s.run([](Handle* hd) -> Task<void> {
+      Json run = Json::object(
+          {{"jobid", "nodir"}, {"cmd", "hostname"}, {"args", Json::object()}});
+      co_await hd->request("wexec.run").payload(std::move(run)).call();
+    }(h.get()));
+    FAIL() << "expected EINVAL";
+  } catch (const FluxException& e) {
+    EXPECT_EQ(e.error().code, errc::inval);
+  }
 }
 
 TEST(Wexec, NonzeroExitCodesAggregated) {
@@ -103,7 +142,7 @@ TEST(Wexec, UnknownCommandIs127) {
   // stderr explains the failure.
   s.run([](Handle* hd, std::uint64_t id) -> Task<void> {
     KvsClient kvs(*hd);
-    Json err = co_await kvs.get("lwj." + std::to_string(id) + ".0.stderr");
+    Json err = co_await kvs.get(job_kvs_dir("lwj", id) + ".0.stderr");
     if (err.as_array().empty())
       throw FluxException(Error(errc::proto, "no stderr captured"));
   }(h.get(), r.id));
@@ -170,7 +209,7 @@ TEST(Wexec, CustomRegisteredCommand) {
   EXPECT_TRUE(r.success);
   s.run([](Handle* hd, std::uint64_t id) -> Task<void> {
     KvsClient kvs(*hd);
-    Json out = co_await kvs.get("lwj." + std::to_string(id) + ".1.stdout");
+    Json out = co_await kvs.get(job_kvs_dir("lwj", id) + ".1.stdout");
     if (out.as_array().at(0) != Json("42"))
       throw FluxException(Error(errc::proto, "custom command output wrong"));
   }(h.get(), r.id));
