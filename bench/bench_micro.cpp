@@ -3,6 +3,7 @@
 
 #include "base/rng.hpp"
 #include "hash/sha1.hpp"
+#include "hash/sha1_compress.hpp"
 #include "json/json.hpp"
 #include "kvs/content_store.hpp"
 #include "msg/codec.hpp"
@@ -168,4 +169,12 @@ BENCHMARK(BM_KvsApplyTransaction)->Arg(16)->Arg(256)->Arg(4096);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // Every report names the SHA-1 path (sha-ni | portable) behind its numbers.
+  benchmark::AddCustomContext("sha1", flux::sha1_internal::sha1_path());
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

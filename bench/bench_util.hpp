@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "hash/sha1_compress.hpp"
 #include "json/json.hpp"
 #include "kap/kap.hpp"
 
@@ -48,7 +49,8 @@ inline void print_header(const char* title, const char* paper_ref,
 /// sidecar writes the same measurements as machine-readable JSON so plots and
 /// regression checks don't have to scrape stdout. Rows accumulate during the
 /// run and "<name>.metrics.json" is written at process exit into the current
-/// directory (FLUX_BENCH_METRICS_DIR overrides the directory,
+/// directory, with the active SHA-1 path ("sha-ni" | "portable") at the top
+/// level (FLUX_BENCH_METRICS_DIR overrides the directory,
 /// FLUX_BENCH_METRICS=0 disables the file entirely).
 class MetricsSidecar {
  public:
@@ -76,6 +78,7 @@ class MetricsSidecar {
     for (const Json& r : rows_) rows.push_back(r);
     Json doc = Json::object({{"bench", name_},
                              {"quick", quick_mode()},
+                             {"sha1", sha1_internal::sha1_path()},
                              {"rows", std::move(rows)}});
     if (FILE* f = std::fopen(path.c_str(), "w")) {
       const std::string text = doc.dump_pretty();

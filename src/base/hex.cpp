@@ -47,21 +47,24 @@ std::string hex_encode(std::span<const std::uint8_t> bytes) {
   return out;
 }
 
-std::optional<std::vector<std::uint8_t>> hex_decode(std::string_view hex) {
-  if (hex.size() % 2 != 0) return std::nullopt;
-  std::vector<std::uint8_t> out;
-  out.resize(hex.size() / 2);
-  std::uint8_t* p = out.data();
+bool hex_decode_to(std::string_view hex, std::span<std::uint8_t> out) {
+  if (hex.size() != out.size() * 2) return false;
   // Accumulate validity instead of branching per character: a single bad
   // digit poisons the sign bit of `bad`.
   int bad = 0;
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = kNibbles[static_cast<std::uint8_t>(hex[i])];
-    const int lo = kNibbles[static_cast<std::uint8_t>(hex[i + 1])];
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const int hi = kNibbles[static_cast<std::uint8_t>(hex[2 * i])];
+    const int lo = kNibbles[static_cast<std::uint8_t>(hex[2 * i + 1])];
     bad |= hi | lo;
-    *p++ = static_cast<std::uint8_t>((hi << 4) | lo);
+    out[i] = static_cast<std::uint8_t>((hi << 4) | lo);
   }
-  if (bad < 0) return std::nullopt;
+  return bad >= 0;
+}
+
+std::optional<std::vector<std::uint8_t>> hex_decode(std::string_view hex) {
+  if (hex.size() % 2 != 0) return std::nullopt;
+  std::vector<std::uint8_t> out(hex.size() / 2);
+  if (!hex_decode_to(hex, out)) return std::nullopt;
   return out;
 }
 

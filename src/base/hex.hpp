@@ -16,4 +16,9 @@ std::string hex_encode(std::span<const std::uint8_t> bytes);
 /// Decode a hex string; returns nullopt for odd length or non-hex characters.
 std::optional<std::vector<std::uint8_t>> hex_decode(std::string_view hex);
 
+/// Decode exactly `out.size()` bytes into `out` without allocating. False if
+/// `hex` is not exactly twice that long or holds a non-hex character (then
+/// `out` is unspecified). Upper and lower case are both accepted.
+bool hex_decode_to(std::string_view hex, std::span<std::uint8_t> out);
+
 }  // namespace flux

@@ -4,6 +4,12 @@
 // by their SHA1 digests" (§IV-B). This is a from-scratch FIPS-180-1
 // implementation; cryptographic strength is irrelevant here — we only need a
 // stable, well-distributed content address with negligible collision odds.
+//
+// Every put, directory freeze, log frame and fault response hashes, so the
+// block compression is dispatched once per process by CPUID: x86-64 CPUs with
+// SHA-NI run the sha1rnds4/sha1msg* body, everything else the portable round
+// loop, which also serves as the hardware body's test oracle
+// (hash/sha1_compress.hpp). Digests are identical on both paths.
 #pragma once
 
 #include <array>
@@ -29,7 +35,8 @@ class Sha1 {
   /// Digest of a string's bytes.
   static Sha1 of(std::string_view data);
 
-  /// Parse a 40-char lower/upper hex reference ("1c002dde...").
+  /// Parse a 40-char lower/upper hex reference ("1c002dde..."). Does not
+  /// allocate.
   static std::optional<Sha1> parse(std::string_view hex);
 
   [[nodiscard]] const std::array<std::uint8_t, kSize>& raw() const noexcept {
@@ -55,8 +62,6 @@ class Sha1Stream {
   Sha1 digest();
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::uint32_t h_[5];
   std::uint64_t total_bytes_ = 0;
   std::array<std::uint8_t, 64> buffer_{};
