@@ -133,12 +133,14 @@ int main() {
         }(h.get()));
 
   timed("resvc", "resources enumerated in the KVS and allocated",
-        "resvc.alloc+free", [](Handle* hd) -> Task<void> {
-          Json a = Json::object(
-              {{"jobid", "t1"}, {"dir", "lwj.t1"}, {"nnodes", 4}});
-          co_await hd->request("resvc.alloc").payload(std::move(a)).call();
-          Json f = Json::object({{"jobid", "t1"}});
-          co_await hd->request("resvc.free").payload(std::move(f)).call();
+        "resvc.status+get", [](Handle* hd) -> Task<void> {
+          Message st = co_await hd->request("resvc.status").call();
+          if (st.payload().get_int("total") <= 0)
+            throw FluxException(Error(errc::proto, "no nodes enumerated"));
+          KvsClient kvs(*hd);
+          Json n0 = co_await kvs.get("resource.nodes.n0");
+          if (n0.get_string("state") != "up")
+            throw FluxException(Error(errc::proto, "node 0 not up"));
         }(h.get()));
 
   std::printf("%-8s %-8s %-24s %12s  %s\n", "module", "status", "operation",

@@ -312,29 +312,17 @@ const std::map<std::string, Command>& commands() {
         }}},
       // --- resources ----------------------------------------------------------
       {"resource-status",
-       {"resource-status", "free/allocated/down node counts",
+       {"resource-status", "total/free/down nodes of the scheduler's ledger",
         [](Cli& c, const Args&) {
-          Message r = c.h->rpc("resvc.status");
-          std::printf("%s\n", r.payload().dump_pretty().c_str());
-          return r.errnum;
-        }}},
-      {"resource-alloc",
-       {"resource-alloc <jobid> <nnodes>", "allocate nodes to a job",
-        [](Cli& c, const Args& a) {
-          if (int rc = need(a, 2, "resource-alloc <jobid> <nnodes>")) return rc;
-          Json payload = Json::object({{"jobid", a[0]},
-                                       {"dir", "lwj." + a[0]},
-                                       {"nnodes", std::stoll(a[1])}});
-          Message r = c.h->rpc("resvc.alloc", std::move(payload));
-          std::printf("%s\n", r.payload().dump().c_str());
-          return r.errnum;
-        }}},
-      {"resource-free",
-       {"resource-free <jobid>", "release a job's nodes",
-        [](Cli& c, const Args& a) {
-          if (int rc = need(a, 1, "resource-free <jobid>")) return rc;
-          Json payload = Json::object({{"jobid", a[0]}});
-          Message r = c.h->rpc("resvc.free", std::move(payload));
+          // stats.get answers on the rank it reaches; the ledger is rank 0's.
+          Message r = c.h->request("job-manager.stats.get").to(0).get();
+          const Json& p = r.payload();
+          Json view = Json::object();
+          for (const char* k :
+               {"nodes_total", "nodes_free", "nodes_down", "running",
+                "queue_depth"})
+            view[k] = p.get_int(k, 0);
+          std::printf("%s\n", view.dump_pretty().c_str());
           return r.errnum;
         }}},
       // --- groups -------------------------------------------------------------

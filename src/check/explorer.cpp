@@ -178,7 +178,7 @@ Task<void> jobs_dst_client(Handle* h, int id, int rounds,
 }
 
 /// Post-run job oracles, evaluated against the committed KVS record and the
-/// live resvc, not against client-side bookkeeping.
+/// live job-manager ledger, not against client-side bookkeeping.
 Task<void> jobs_post_check(Handle* h, const std::vector<std::uint64_t>* ids,
                            std::vector<std::string>* out) {
   KvsClient kvs(*h);
@@ -230,20 +230,21 @@ Task<void> jobs_post_check(Handle* h, const std::vector<std::uint64_t>* ids,
                        std::to_string(iv[i].first) + "," +
                        std::to_string(iv[i].second) + "]");
   }
-  // End state: every allocation returned (a crashed broker's job must Fail
-  // or requeue, never leave resvc holding nodes for a dead job).
+  // End state: every allocation returned (a crashed broker's job must Fail,
+  // never leave the scheduler's pool holding nodes for a dead job).
   try {
-    Message st = co_await h->request("resvc.status").call();
+    // stats.get answers where it lands; only rank 0 holds the ledger.
+    Message st = co_await h->request("job-manager.stats.get").to(0).call();
     const Json& p = st.payload();
-    if (!p.at("jobs").as_array().empty())
-      out->push_back("resvc still holds " +
-                     std::to_string(p.at("jobs").size()) +
-                     " allocation(s) after all jobs finished: " +
-                     p.at("jobs").dump());
-    const std::int64_t total = p.get_int("total");
-    const std::int64_t reachable = p.get_int("free") + p.get_int("down");
-    if (reachable != total)
-      out->push_back("resvc accounting leak: free+down=" +
+    const std::int64_t running = p.get_int("running");
+    if (running != 0)
+      out->push_back("job-manager still runs " + std::to_string(running) +
+                     " job(s) after all jobs finished");
+    const std::int64_t total = p.get_int("nodes_total");
+    const std::int64_t reachable =
+        p.get_int("nodes_free") + p.get_int("nodes_down");
+    if (total <= 0 || reachable != total)
+      out->push_back("pool accounting leak: free+down=" +
                      std::to_string(reachable) + " of " +
                      std::to_string(total) + " nodes");
   } catch (const FluxException&) {

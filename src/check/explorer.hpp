@@ -62,12 +62,12 @@ struct DstOptions {
   bool master_crash = false;
 
   /// Add a job-lifecycle workload (submit / cancel / complete through the
-  /// full ingest -> job-manager -> resvc -> wexec pipeline) alongside the
-  /// KVS clients, with its own oracles: jobids are per-client monotone and
+  /// full ingest -> job-manager -> wexec pipeline) alongside the KVS
+  /// clients, with its own oracles: jobids are per-client monotone and
   /// globally unique, every job reaches a terminal state, no node is
   /// allocated to two jobs at once (per-rank busy intervals from the
   /// committed eventlogs are disjoint), and the run ends with no orphaned
-  /// allocation in resvc.
+  /// allocation in the job-manager's pool.
   bool jobs = false;
   int jobs_per_client = 2;  ///< submissions per job client per run
 };

@@ -6,13 +6,13 @@
 #include "base/log.hpp"
 #include "broker/broker.hpp"
 #include "kvs/kvs_client.hpp"
+#include "kvs/treeobj.hpp"
 #include "sched/policy.hpp"
 
 namespace flux::modules {
 
 namespace {
 
-constexpr int kMaxAllocRetries = 3;
 constexpr std::size_t kTerminalKeep = 1024;
 
 std::string job_key(std::uint64_t id, std::string_view leaf) {
@@ -35,7 +35,6 @@ JobManager::JobManager(Broker& b) : ModuleBase(b) {
   c_failed_ = &reg.counter("job-manager.failed");
   c_canceled_ = &reg.counter("job-manager.canceled");
   c_rejected_ = &reg.counter("job-manager.rejected");
-  c_requeued_ = &reg.counter("job-manager.requeued");
   h_alloc_ns_ = &reg.histogram("job-manager.alloc_ns");
   h_run_ns_ = &reg.histogram("job-manager.run_ns");
   h_depth_ = &reg.histogram("job-manager.queue_depth");
@@ -47,22 +46,23 @@ void JobManager::start() {
   if (!broker().is_root()) return;
   const Json cfg = broker().module_config("job-manager");
   max_queue_ = cfg.get_int("max_queue", 4096);
-  const auto cores =
-      static_cast<unsigned>(cfg.get_int("cores_per_node", 16));
-  // Mirror pool: one flat rack of the session's brokers. The authoritative
-  // free list is resvc's; this pool only paces the scheduler (feasibility,
-  // backfill planning), so count agreement is what matters.
-  graph_ = ResourceGraph::build_center("session", 1, 1, broker().size(), cores);
+  // The session's only allocation ledger: node vertex i is broker rank i.
+  graph_ = ResourceGraph::build_session(broker().size());
+  node_ids_ = graph_.find("node");
   pool_ = std::make_unique<ResourcePool>(graph_);
   sched_ = std::make_unique<Scheduler>(broker().executor(), *pool_,
                                        make_policy(cfg.get_string("policy", "fcfs")));
   sched_->bind_stats(broker().stats_registry(), "job-manager.sched");
-  sched_->on_start([this](std::uint64_t sched_id, const Allocation&) {
+  sched_->on_start([this](std::uint64_t sched_id, const Allocation& alloc) {
     auto it = sched_to_job_.find(sched_id);
     if (it == sched_to_job_.end()) return;
     JobRecord* rec = find(it->second);
     if (rec == nullptr || rec->phase != Phase::Queued) return;
-    rec->phase = Phase::Allocating;
+    for (ResourceId node : alloc.nodes)
+      rec->ranks.push_back(static_cast<NodeId>(
+          std::lower_bound(node_ids_.begin(), node_ids_.end(), node) -
+          node_ids_.begin()));
+    rec->phase = Phase::Dispatched;
     co_spawn(broker().executor(), dispatch(rec->id), "job-manager.dispatch");
   });
   handle_ = std::make_unique<Handle>(broker());
@@ -170,80 +170,36 @@ void JobManager::op_submit(Message& msg) {
 
 Task<void> JobManager::dispatch(std::uint64_t id) {
   JobRecord* rec = find(id);
-  if (rec == nullptr || rec->phase != Phase::Allocating) co_return;
+  if (rec == nullptr || rec->phase != Phase::Dispatched) co_return;
+  Json ranks_json = Json::array();
+  for (NodeId r : rec->ranks) ranks_json.push_back(r);
+
+  // 1. Commit the allocation before any task runs. module_rpc reaches the
+  // root's KVS module directly; the Handle under kvs_ would add a loopback
+  // hop on the root's receive queue to every message.
+  ObjPtr obj = make_val_object(ranks_json);
+  Message put =
+      Message::request("kvs.put", Json::object({{"key", job_key(id, "ranks")}}));
+  put.set_data(std::shared_ptr<const std::string>(obj, &obj->bytes));
+  try {
+    Message put_resp = co_await broker().module_rpc(*this, std::move(put));
+    Message commit_resp =
+        co_await broker().module_rpc(*this, Message::request("kvs.commit"));
+    if (put_resp.errnum != 0 || commit_resp.errnum != 0)
+      log::warn("job-manager", "failed to record allocation for job ", id);
+  } catch (const FluxException&) {
+    co_return;  // this broker failed or the session is shutting down
+  }
+  rec = find(id);
+  if (rec == nullptr || rec->phase == Phase::Done) co_return;  // live.down won
   if (rec->canceled) {
     finalize(*rec, JobState::Canceled, Json::object(), 0, "canceled");
     co_return;
   }
 
-  // 1. Authoritative allocation from resvc.
-  const Json alloc_req =
-      Json::object({{"jobid", std::to_string(id)},
-                    {"dir", job_kvs_dir("lwj", id)},
-                    {"nnodes", rec->spec.request.nnodes}});
-  Message alloc_resp;
-  bool alloc_threw = false;  // timeout / host_down arrive as exceptions
-  try {
-    alloc_resp = co_await broker().module_rpc(
-        *this, Message::request("resvc.alloc", alloc_req),
-        std::chrono::seconds(5));
-  } catch (const FluxException& e) {
-    if (e.error().code == errc::canceled) co_return;  // session shutdown
-    alloc_threw = true;
-  }
-  rec = find(id);
-  if (rec == nullptr || rec->phase != Phase::Allocating) {
-    // Finalized meanwhile (live.down): return the allocation if we got one.
-    if (!alloc_threw && alloc_resp.errnum == 0)
-      co_spawn(broker().executor(), release_allocation(id),
-               "job-manager.release");
-    co_return;
-  }
-  if (alloc_threw || alloc_resp.errnum != 0) {
-    // Mirror raced the authoritative pool (direct resvc users, node death).
-    // Re-queue a bounded number of times, then fail.
-    sched_->finish(rec->sched_id);
-    sched_to_job_.erase(rec->sched_id);
-    if (rec->alloc_retries++ < kMaxAllocRetries && !rec->canceled) {
-      Expected<std::uint64_t> sid =
-          sched_->submit(rec->spec.request, rec->spec.walltime,
-                         rec->spec.priority, /*manual_completion=*/true);
-      if (sid) {
-        rec->sched_id = *sid;
-        rec->phase = Phase::Queued;
-        sched_to_job_[*sid] = id;
-        c_requeued_->inc();
-        event(*rec, "requeue", Json::object({{"try", rec->alloc_retries}}));
-        co_return;
-      }
-    }
-    rec->phase = Phase::Done;  // scheduler already released above
-    rec->state = JobState::Failed;
-    rec->freed = true;
-    event(*rec, "alloc_failed", Json::object());
-    finish_terminal(*rec, Json::object(), 0, "alloc_failed");
-    co_return;
-  }
-
-  std::vector<NodeId> ranks;
-  Json ranks_json = alloc_resp.payload().at("ranks");
-  for (const Json& r : ranks_json.as_array())
-    ranks.push_back(static_cast<NodeId>(r.as_int()));
-  rec->ranks = std::move(ranks);
-
-  if (rec->canceled || rec->node_died) {
-    const JobState terminal =
-        rec->canceled ? JobState::Canceled : JobState::Failed;
-    finalize(*rec, terminal, Json::object(), 0,
-             rec->canceled ? "canceled" : "node_down");
-    co_return;
-  }
-
-  // 2. Transition to Running; fold allocation into the KVS.
+  // 2. Transition to Running; fold the transition into the KVS.
   rec->state = JobState::Running;
-  rec->phase = Phase::Dispatched;
   h_alloc_ns_->record(broker().executor().now() - rec->submit_t);
-  kvs_->txn().put(job_key(id, "ranks"), ranks_json);
   event(*rec, "alloc", Json::object({{"ranks", ranks_json}}));
   event(*rec, "start", Json::object());
   stage_state(*rec);
@@ -304,24 +260,14 @@ void JobManager::finalize(JobRecord& rec, JobState terminal, Json exits,
                           std::int64_t ntasks, std::string_view why) {
   if (rec.phase == Phase::Done) return;
   // Scheduler bookkeeping: a Queued job is still in the scheduler's pending
-  // queue; anything later holds a mirror-pool allocation.
+  // queue; a Dispatched one holds a pool allocation, returned here.
   if (rec.phase == Phase::Queued)
     (void)sched_->cancel(rec.sched_id);
   else
     sched_->finish(rec.sched_id);
   sched_to_job_.erase(rec.sched_id);
   rec.phase = Phase::Done;
-  if (!rec.ranks.empty() && !rec.freed) {
-    rec.freed = true;
-    co_spawn(broker().executor(), release_allocation(rec.id),
-             "job-manager.release");
-  }
   rec.state = terminal;
-  finish_terminal(rec, std::move(exits), ntasks, why);
-}
-
-void JobManager::finish_terminal(JobRecord& rec, Json exits,
-                                 std::int64_t ntasks, std::string_view why) {
   const bool success = rec.state == JobState::Complete;
   rec.result =
       Json::object({{"id", static_cast<std::int64_t>(rec.id)},
@@ -350,19 +296,6 @@ void JobManager::finish_terminal(JobRecord& rec, Json exits,
   while (terminal_fifo_.size() > kTerminalKeep) {
     jobs_.erase(terminal_fifo_.front());
     terminal_fifo_.pop_front();
-  }
-  try_tombstone();
-}
-
-Task<void> JobManager::release_allocation(std::uint64_t id) {
-  const Json req = Json::object({{"jobid", std::to_string(id)}});
-  try {
-    Message resp = co_await broker().module_rpc(
-        *this, Message::request("resvc.free", req), std::chrono::seconds(5));
-    if (resp.errnum != 0)
-      log::warn("job-manager", "resvc.free failed for job ", id);
-  } catch (const FluxException&) {
-    // Timeout or shutdown; live.down tombstoning reconciles the pool.
   }
 }
 
@@ -396,12 +329,8 @@ void JobManager::op_cancel(Message& msg) {
       event(*rec, "cancel", Json::object());
       finalize(*rec, JobState::Canceled, Json::object(), 0, "canceled");
       break;
-    case Phase::Allocating:
-      // The dispatch coroutine observes the flag after resvc.alloc returns.
-      rec->canceled = true;
-      event(*rec, "cancel", Json::object());
-      break;
     case Phase::Dispatched:
+      // Before wexec.run, dispatch sees the flag and the kill just misses.
       rec->canceled = true;
       event(*rec, "cancel", Json::object());
       co_spawn(broker().executor(), kill_tasks(id), "job-manager.kill");
@@ -475,12 +404,9 @@ void JobManager::handle_event(const Message& msg) {
   if (msg.topic != "live.down" || !broker().is_root() || !sched_) return;
   const auto rank = static_cast<NodeId>(msg.payload().get_int("rank", -1));
   if (rank >= broker().size()) return;
-  // Shrink the mirror pool by one node (resvc already dropped the real one).
-  ++pending_tombstones_;
-  try_tombstone();
   // Fail every non-terminal job whose allocation includes the dead rank —
   // promptly, so nothing waits out the wexec fence that can no longer
-  // complete, and the allocation is returned (resvc skips down ranks).
+  // complete. finalize() returns each allocation to the pool.
   std::vector<std::uint64_t> hit;
   for (const auto& [id, rec] : jobs_) {
     if (rec->phase == Phase::Done) continue;
@@ -490,24 +416,20 @@ void JobManager::handle_event(const Message& msg) {
   }
   for (std::uint64_t id : hit) {
     JobRecord* rec = find(id);
-    rec->node_died = true;
     event(*rec, "node_down",
           Json::object({{"rank", static_cast<std::int64_t>(rank)}}));
     finalize(*rec, JobState::Failed, Json::object(), 0, "node_down");
   }
-}
-
-void JobManager::try_tombstone() {
-  // A tombstone is a 1-node mirror allocation that is never released; it
-  // keeps the scheduler's pool in count-agreement with resvc after a node
-  // death. If every node is busy the tombstone waits for the next release.
-  while (pending_tombstones_ > 0) {
-    ResourceRequest one;
-    one.nnodes = 1;
-    Expected<Allocation> a = pool_->allocate(one);
-    if (!a) return;
-    --pending_tombstones_;
-  }
+  // The node is free now; scheduling passes are posted, so none can have
+  // placed a job on it in between. A repeated live.down is refused here.
+  if (!pool_->remove(node_ids_[rank])) return;
+  // Queued jobs wider than what is left would wait forever.
+  std::vector<std::uint64_t> unfit;
+  for (const auto& [id, rec] : jobs_)
+    if (rec->phase == Phase::Queued && !pool_->feasible(rec->spec.request))
+      unfit.push_back(id);
+  for (std::uint64_t id : unfit)
+    finalize(*find(id), JobState::Failed, Json::object(), 0, "unsatisfiable");
 }
 
 Json JobManager::stats_json() const {
@@ -517,6 +439,10 @@ Json JobManager::stats_json() const {
     j["running"] = static_cast<std::int64_t>(sched_->running_count());
     j["active"] = static_cast<std::int64_t>(jobs_.size() -
                                             terminal_fifo_.size());
+    j["nodes_total"] = static_cast<std::int64_t>(node_ids_.size());
+    j["nodes_free"] = static_cast<std::int64_t>(pool_->free_nodes());
+    j["nodes_down"] =
+        static_cast<std::int64_t>(node_ids_.size() - pool_->total_nodes());
   }
   return j;
 }

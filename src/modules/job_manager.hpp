@@ -4,10 +4,12 @@
 // Runs its real logic on the session root only (non-root brokers forward
 // upstream, the resvc/wexec idiom). The root instance owns:
 //   - admission control (bounded pending queue -> errc::job_rejected),
-//   - a Scheduler over a mirror ResourcePool of the session's nodes,
+//   - a Scheduler over the session's only allocation ledger: a ResourcePool
+//     of ResourceGraph::build_session, where node vertex i is broker rank i,
 //     reusing src/sched/policy (fcfs / firstfit / easy policies, priority
 //     ordering inside the queue),
-//   - the dispatch path: resvc.alloc -> wexec.run -> resvc.free,
+//   - the dispatch path: scheduler start -> commit D.ranks -> wexec.run ->
+//     pool release,
 //   - the JobState machine Pending -> Running -> Complete/Failed/Canceled,
 //     with every transition appended to a KVS event log,
 //   - each job's KVS directory D = job_kvs_dir("job", id), a radix path
@@ -15,12 +17,13 @@
 //       D.jobspec    submitted JobSpec (JSON)
 //       D.state      current state name ("pending", "running", ...)
 //       D.eventlog   array of {t, name, ...context} entries
-//       D.ranks      allocated broker ranks (once Running)
+//       D.ranks      allocated broker ranks, committed before any task runs
 //       D.result     {id, state, success, exits, ntasks} (terminal)
 //       D.stdio      ref to the capture dir job_kvs_dir("lwj", id), which
-//                    the manager hands to resvc.alloc and wexec.run as "dir"
-//   KVS writes coalesce: transitions stage into the client txn and a single
-//   in-flight commit coroutine flushes them (the KVS watch-refresh pattern).
+//                    the manager hands to wexec.run as "dir"
+//   Other KVS writes coalesce: transitions stage into the client txn and a
+//   single in-flight commit coroutine flushes them (the KVS watch-refresh
+//   pattern).
 //
 // Protocol (all root-authoritative; non-root forwards upstream):
 //   job-manager.submit {id, jobspec}   from job-ingest; responds {id}
@@ -28,12 +31,13 @@
 //   job-manager.state  {id}            -> {id, state}
 //   job-manager.wait   {id}            -> terminal result (parks until then)
 //   job-manager.list   {}              -> {jobs: [{id, state}...]}
+//   job-manager.stats.get              -> also {nodes_total, nodes_free,
+//                                         nodes_down} of the ledger
 //
 // Failure handling: on "live.down" the manager fails (never orphans) every
-// non-terminal job whose allocation includes the dead rank — the allocation
-// is returned to resvc (which skips down ranks) and a tombstone allocation
-// removes one node from the scheduler's mirror pool. A job that loses the
-// resvc.alloc race is re-queued a bounded number of times, then Failed.
+// non-terminal job whose allocation includes the dead rank, which returns
+// those allocations to the pool, and then removes the dead node from the
+// pool. Queued jobs that no longer fit what is left fail too.
 #pragma once
 
 #include <cstdint>
@@ -66,9 +70,9 @@ class JobManager final : public ModuleBase {
   [[nodiscard]] Json stats_json() const override;
 
  private:
-  /// Where a job is in the dispatch pipeline (orthogonal to JobState:
-  /// Allocating/Dispatched both present as Pending/Running to clients).
-  enum class Phase { Queued, Allocating, Dispatched, Done };
+  /// Where a job is in the dispatch pipeline (orthogonal to JobState: a
+  /// Dispatched job presents as Pending until D.ranks is committed).
+  enum class Phase { Queued, Dispatched, Done };
 
   struct JobRecord {
     std::uint64_t id = 0;
@@ -76,11 +80,8 @@ class JobManager final : public ModuleBase {
     JobState state = JobState::Pending;
     Phase phase = Phase::Queued;
     std::uint64_t sched_id = 0;  ///< Scheduler's internal job id
-    std::vector<NodeId> ranks;   ///< resvc allocation (empty until Running)
+    std::vector<NodeId> ranks;   ///< pool allocation (empty while Queued)
     bool canceled = false;       ///< cancel requested
-    bool node_died = false;      ///< a rank in `ranks` was declared dead
-    bool freed = false;          ///< resvc.free issued (or never allocated)
-    int alloc_retries = 0;
     Json eventlog = Json::array();
     std::vector<Message> waiters;  ///< parked job-manager.wait requests
     Json result;                   ///< terminal result payload
@@ -106,27 +107,20 @@ class JobManager final : public ModuleBase {
   Task<void> dispatch(std::uint64_t id);
   void finalize(JobRecord& rec, JobState terminal, Json exits,
                 std::int64_t ntasks, std::string_view why);
-  /// Terminal bookkeeping shared by finalize() and the alloc-failure path
-  /// (which has already settled its scheduler state): result/eventlog/KVS,
-  /// waiters, counters, eviction.
-  void finish_terminal(JobRecord& rec, Json exits, std::int64_t ntasks,
-                       std::string_view why);
-  Task<void> release_allocation(std::uint64_t id);
   Task<void> kill_tasks(std::uint64_t id);
   Task<void> answer_from_kvs(Message req, std::uint64_t id, bool want_result);
-  void try_tombstone();
 
   // Root-only state (built in start()).
   std::int64_t max_queue_ = 4096;
   ResourceGraph graph_;
-  std::unique_ptr<ResourcePool> pool_;      ///< scheduler's mirror pool
+  std::vector<ResourceId> node_ids_;        ///< rank -> node vertex
+  std::unique_ptr<ResourcePool> pool_;      ///< the allocation ledger
   std::unique_ptr<Scheduler> sched_;
   std::unique_ptr<Handle> handle_;          ///< for the KVS client
   std::unique_ptr<KvsClient> kvs_;
   std::map<std::uint64_t, std::unique_ptr<JobRecord>> jobs_;
   std::map<std::uint64_t, std::uint64_t> sched_to_job_;
   std::deque<std::uint64_t> terminal_fifo_;  ///< bounded eviction of Done jobs
-  int pending_tombstones_ = 0;
   bool flush_scheduled_ = false;
   bool flush_rerun_ = false;
 
@@ -136,7 +130,6 @@ class JobManager final : public ModuleBase {
   obs::Counter* c_failed_ = nullptr;
   obs::Counter* c_canceled_ = nullptr;
   obs::Counter* c_rejected_ = nullptr;
-  obs::Counter* c_requeued_ = nullptr;
   obs::Histogram* h_alloc_ns_ = nullptr;  ///< submit -> allocation latency
   obs::Histogram* h_run_ns_ = nullptr;    ///< allocation -> terminal latency
   obs::Histogram* h_depth_ = nullptr;     ///< queue depth sampled per submit

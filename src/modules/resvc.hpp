@@ -1,21 +1,16 @@
 // resvc: "Resources are enumerated in the KVS and allocated when the
 // scheduler runs an application." (Table I)
 //
-// The root instance owns the session's node inventory: at startup it
-// enumerates every broker rank into the KVS (resource.nodes.<rank> =
-// {cores, mem_gb, state}) and then serves first-fit node allocations.
-// Allocations are recorded under <dir>.resources, where `dir` is the
-// caller's capture directory sent with resvc.alloc {jobid, dir, nnodes} (the
-// job-manager sends job_kvs_dir("lwj", id)); resvc never derives a KVS path
-// from the jobid. live.down events take nodes out of the pool (and update
-// the KVS enumeration).
+// The root instance enumerates every broker rank into the KVS at startup
+// (resource.nodes.n<rank> = {cores, mem_gb, state}, the node shape of
+// ResourceGraph::build_session) and marks a node "down" there when
+// live.down declares its broker dead. resvc.status answers {total, down}.
 //
-// This is the *flat* per-session allocator the paper's prototype had; the
-// hierarchical, multi-level scheduling of §III lives above it in src/sched
-// and src/core.
+// resvc allocates nothing: the job-manager's scheduler pool is the
+// session's only allocation ledger (node vertex i is broker rank i), and
+// the job-manager records each allocation under its job directory.
 #pragma once
 
-#include <map>
 #include <set>
 #include <string>
 
@@ -33,21 +28,12 @@ class Resvc final : public ModuleBase {
   void handle_event(const Message& msg) override;
 
  private:
-  void op_alloc(Message& msg);
-  void op_free(Message& msg);
   void op_status(Message& msg);
 
   Task<void> enumerate();
-  Task<void> record_alloc(Message req, std::string jobid, std::string dir,
-                          std::vector<NodeId> ranks);
   Task<void> mark_node_state(NodeId rank, std::string state);
 
-  // Root-only state.
-  std::int64_t cores_per_node_ = 16;
-  std::int64_t mem_per_node_gb_ = 32;
-  std::set<NodeId> free_;
-  std::set<NodeId> down_;
-  std::map<std::string, std::vector<NodeId>> allocations_;
+  std::set<NodeId> down_;  ///< root-only
 };
 
 }  // namespace flux::modules

@@ -105,6 +105,13 @@ const Allocation* ResourcePool::lookup(std::uint64_t allocation_id) const {
   return it == allocations_.end() ? nullptr : &it->second;
 }
 
+Status ResourcePool::remove(ResourceId node) {
+  if (free_.erase(node) == 0)
+    return Error(errc::again, "remove: node is busy or not in the pool");
+  nodes_.erase(std::find(nodes_.begin(), nodes_.end(), node));
+  return {};
+}
+
 Expected<std::vector<ResourceId>> ResourcePool::grow(
     std::uint64_t allocation_id, const ResourceRequest& delta) {
   auto it = allocations_.find(allocation_id);

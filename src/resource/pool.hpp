@@ -60,6 +60,9 @@ class ResourcePool {
   Expected<Allocation> allocate(const ResourceRequest& req);
   Status release(std::uint64_t allocation_id);
   [[nodiscard]] const Allocation* lookup(std::uint64_t allocation_id) const;
+  /// Take a free node out of the pool for good (its host died). A busy or
+  /// unknown node is refused: release its allocation first.
+  Status remove(ResourceId node);
 
   /// Grow an existing allocation in place; returns the node ids added.
   Expected<std::vector<ResourceId>> grow(std::uint64_t allocation_id,

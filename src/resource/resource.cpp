@@ -125,4 +125,9 @@ ResourceGraph ResourceGraph::build_center(std::string name, unsigned nclusters,
   return g;
 }
 
+ResourceGraph ResourceGraph::build_session(unsigned nranks) {
+  return build_center("session", 1, 1, nranks, kSessionCoresPerNode,
+                      kSessionMemGbPerNode);
+}
+
 }  // namespace flux

@@ -75,6 +75,12 @@ class ResourceGraph {
                                     double watts_per_node = 350,
                                     double fs_bandwidth_gbs = 100);
 
+  /// A live session's inventory: one flat rack of `nranks` nodes of the
+  /// shape below. Node vertex i is broker rank i.
+  static ResourceGraph build_session(unsigned nranks);
+  static constexpr unsigned kSessionCoresPerNode = 16;
+  static constexpr unsigned kSessionMemGbPerNode = 32;
+
  private:
   [[nodiscard]] Json vertex_to_json(ResourceId id) const;
   std::vector<ResourceVertex> vertices_;

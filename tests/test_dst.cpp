@@ -102,9 +102,9 @@ TEST(DstExplore, JobLifecycleSchedulesPass) {
 
 TEST(DstExplore, JobLifecycleSurvivesBrokerCrashes) {
   // The chaos acceptance run: a broker crash mid-dispatch (victim chosen by
-  // the seeded plan, never rank 0) must end every affected job in Failed or
-  // re-queued-then-terminal, with its allocation returned — never an
-  // orphaned allocation in resvc or a never-terminal job in the KVS.
+  // the seeded plan, never rank 0) must end every affected job Failed, with
+  // its allocation returned — never an orphaned allocation in the
+  // job-manager's pool or a never-terminal job in the KVS.
   DstOptions opt;
   opt.jobs = true;
   opt.size = 6;

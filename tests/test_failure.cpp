@@ -83,7 +83,12 @@ TEST(Failure, ResvcTakesDeadNodeOutOfThePool) {
   auto h = s.attach(0);
   Message st = s.run(h->request("resvc.status").call());
   EXPECT_EQ(st.payload().get_int("down"), 1);
-  EXPECT_EQ(st.payload().get_int("free"), 7);
+  // The scheduler's ledger dropped the node: the other 7 are free.
+  Message jm = s.run(h->request("job-manager.stats.get").call());
+  EXPECT_EQ(jm.payload().get_int("nodes_total"), 8);
+  EXPECT_EQ(jm.payload().get_int("nodes_down"), 1);
+  EXPECT_EQ(jm.payload().get_int("nodes_free"), 7);
+  EXPECT_EQ(jm.payload().get_int("running"), 0);
   // The KVS enumeration reflects the death.
   s.run([](Handle* hd) -> Task<void> {
     KvsClient kvs(*hd);

@@ -3,6 +3,7 @@
 // h.job() client API (ctest -L jobs).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <map>
 
@@ -352,8 +353,8 @@ TEST(Jobs, EvictedJobAnsweredFromKvs) {
 
 TEST(Jobs, BrokerCrashMidJobNeverOrphansAllocation) {
   // The chaos acceptance scenario: a broker dies while its rank runs job
-  // tasks. The job must end Failed (or re-queued then terminal), the
-  // allocation must return to resvc, and the event log must say why.
+  // tasks. The job must end Failed, the allocation must return to the
+  // scheduler's pool, and the event log must say why.
   SessionConfig cfg = SimSession::default_config(8);
   cfg.module_config =
       Json::object({{"hb", Json::object({{"period_us", 100}})},
@@ -387,13 +388,16 @@ TEST(Jobs, BrokerCrashMidJobNeverOrphansAllocation) {
 
   // Allocation returned: everything except the dead node is free again.
   s.run([](Handle* hd, JobHandle j) -> Task<void> {
-    Message resp = co_await hd->request("resvc.status").call();
-    if (resp.payload().get_int("free") != 7)
+    Message resp = co_await hd->request("job-manager.stats.get").call();
+    const Json& p = resp.payload();
+    if (p.get_int("nodes_free") != 7)
       throw FluxException(Error(errc::proto, "allocation orphaned"));
-    if (resp.payload().get_int("down") != 1)
+    if (p.get_int("nodes_down") != 1)
       throw FluxException(Error(errc::proto, "dead node not excluded"));
-    if (resp.payload().at("jobs").size() != 0)
-      throw FluxException(Error(errc::proto, "allocation record leaked"));
+    if (p.get_int("nodes_free") + p.get_int("nodes_down") !=
+            p.get_int("nodes_total") ||
+        p.get_int("running") != 0)
+      throw FluxException(Error(errc::proto, "allocation leaked"));
     Json log = co_await j.events();
     bool node_down = false;
     for (const Json& e : log.as_array())
@@ -407,6 +411,151 @@ TEST(Jobs, BrokerCrashMidJobNeverOrphansAllocation) {
     if (nr.state != JobState::Complete)
       throw FluxException(Error(errc::proto, "session wedged after crash"));
   }(h.get(), jh));
+}
+
+/// Heartbeat fast enough that a failed broker is declared dead within a
+/// millisecond of virtual time.
+SessionConfig failure_config(std::uint32_t size) {
+  SessionConfig cfg = SimSession::default_config(size);
+  cfg.module_config =
+      Json::object({{"hb", Json::object({{"period_us", 100}})},
+                    {"live", Json::object({{"missed_max", 3}})}});
+  return cfg;
+}
+
+/// The `name` event's virtual timestamp in a job's eventlog (-1 if absent).
+std::int64_t event_time(const Json& log, std::string_view name) {
+  for (const Json& e : log.as_array())
+    if (e.get_string("name") == name) return e.get_int("t");
+  return -1;
+}
+
+TEST(Jobs, DeadRankLeavesThePool) {
+  // An idle rank dies: the scheduler's pool drops exactly that node, so no
+  // later job is placed on it and a full-width job can never fit.
+  SimSession s(failure_config(4));
+  s.settle(std::chrono::milliseconds(1));
+  s.session().fail(2);  // first-fit would otherwise place a 3-node job on it
+  s.settle(std::chrono::milliseconds(3));
+  auto h = s.attach(0);
+  s.run([](Handle* hd) -> Task<void> {
+    Message st = co_await hd->request("job-manager.stats.get").call();
+    if (st.payload().get_int("nodes_total") != 4 ||
+        st.payload().get_int("nodes_down") != 1 ||
+        st.payload().get_int("nodes_free") != 3)
+      throw FluxException(
+          Error(errc::proto, "ledger after death: " + st.payload().dump()));
+    KvsClient kvs(*hd);
+    for (int i = 0; i < 3; ++i) {
+      JobHandle j = co_await hd->job().command("hostname").nnodes(3).submit();
+      JobResult r = co_await j.wait();
+      if (r.state != JobState::Complete)
+        throw FluxException(Error(errc::proto, "3-node job did not complete"));
+      Json ranks = co_await kvs.get(j.kvs_dir() + ".ranks");
+      for (const Json& rk : ranks.as_array())
+        if (rk.as_int() == 2)
+          throw FluxException(Error(errc::proto, "job placed on dead rank"));
+    }
+    try {
+      (void)co_await hd->job().nnodes(4).submit();
+      throw FluxException(Error(errc::proto, "full-width job accepted"));
+    } catch (const FluxException& e) {
+      if (e.error().code != errc::alloc_unsatisfiable) throw;
+    }
+  }(h.get()));
+}
+
+TEST(Jobs, QueuedJobThatNoLongerFitsFails) {
+  // A full-width job queues behind a 3-node job; then the idle fourth rank
+  // dies. The queued job can never run, so it fails without an allocation
+  // instead of pending forever.
+  SimSession s(failure_config(4));
+  s.settle(std::chrono::milliseconds(1));
+  auto h = s.attach(0);
+  s.run([](SimSession* sim, Handle* hd) -> Task<void> {
+    JobHandle a = co_await hd->job()
+                      .nnodes(3)
+                      .walltime(std::chrono::milliseconds(5))
+                      .submit();
+    JobHandle b = co_await hd->job().nnodes(4).submit();
+    while (co_await a.state() != JobState::Running)
+      co_await hd->sleep(std::chrono::microseconds(100));
+    sim->session().fail(3);  // a holds ranks 0-2
+    // Bounded: a job left pending would otherwise park wait() forever.
+    JobState sb = JobState::Pending;
+    for (int i = 0; i < 100 && sb == JobState::Pending; ++i) {
+      co_await hd->sleep(std::chrono::microseconds(200));
+      sb = co_await b.state();
+    }
+    if (sb == JobState::Pending)
+      throw FluxException(Error(errc::proto, "unfit job still pending"));
+    JobResult rb = co_await b.wait();
+    if (rb.state != JobState::Failed)
+      throw FluxException(Error(errc::proto, "unfit job did not fail"));
+    const Json log = co_await b.events();
+    if (event_time(log, "alloc") != -1)
+      throw FluxException(
+          Error(errc::proto, "unfit job was allocated: " + log.dump()));
+    JobResult ra = co_await a.wait();
+    if (ra.state != JobState::Complete)
+      throw FluxException(Error(errc::proto, "running job did not complete"));
+  }(&s, h.get()));
+}
+
+TEST(Jobs, FullWidthJobsRunInSubmitOrder) {
+  // Two jobs that each need the whole session: the second waits for the
+  // first, and both leave an exit code for every rank.
+  SimSession s(SimSession::default_config(4));
+  auto h = s.attach(0);
+  s.run([](Handle* hd) -> Task<void> {
+    JobHandle a = co_await hd->job().command("hostname").nnodes(4).submit();
+    JobHandle b = co_await hd->job().command("hostname").nnodes(4).submit();
+    const std::array<JobHandle*, 2> both{&a, &b};
+    for (JobHandle* j : both) {
+      JobResult r = co_await j->wait();
+      if (r.state != JobState::Complete || r.ntasks != 4)
+        throw FluxException(Error(errc::proto, "full-width job failed"));
+    }
+    const Json log_a = co_await a.events();
+    const Json log_b = co_await b.events();
+    if (event_time(log_b, "alloc") < event_time(log_a, "finish"))
+      throw FluxException(Error(errc::proto, "second job overtook the first"));
+    KvsClient kvs(*hd);
+    for (JobHandle* j : both) {
+      Json stdio = co_await kvs.get(j->kvs_dir() + ".stdio");
+      for (int r = 0; r < 4; ++r) {
+        Json code = co_await kvs.get(stdio.as_string() + "." +
+                                     std::to_string(r) + ".exitcode");
+        if (code.as_int() != 0)
+          throw FluxException(Error(errc::proto, "nonzero exitcode"));
+      }
+    }
+  }(h.get()));
+}
+
+TEST(Jobs, ManySmallJobsUnderFirstfit) {
+  SessionConfig cfg = SimSession::default_config(8);
+  cfg.module_config = Json::object(
+      {{"job-manager", Json::object({{"policy", "firstfit"}})}});
+  SimSession s(cfg);
+  auto h = s.attach(0);
+  s.run([](Handle* hd) -> Task<void> {
+    std::vector<JobHandle> jobs;
+    for (int i = 0; i < 12; ++i) {
+      JobHandle j = co_await hd->job().command("hostname").nnodes(2).submit();
+      jobs.push_back(j);
+    }
+    for (JobHandle& j : jobs) {
+      JobResult r = co_await j.wait();
+      if (r.state != JobState::Complete)
+        throw FluxException(Error(errc::proto, "small job failed"));
+    }
+    Message st = co_await hd->request("job-manager.stats.get").call();
+    if (st.payload().get_int("running") != 0 ||
+        st.payload().get_int("nodes_free") != 8)
+      throw FluxException(
+          Error(errc::proto, "pool not drained: " + st.payload().dump()));
+  }(h.get()));
 }
 
 }  // namespace

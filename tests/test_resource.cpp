@@ -85,6 +85,37 @@ TEST(Pool, RejectsInfeasibleAndOversized) {
   EXPECT_FALSE(pool.allocate(too_many_cores).has_value());
 }
 
+TEST(Pool, RemoveTakesOnlyFreeNodesForGood) {
+  ResourceGraph g = ResourceGraph::build_session(4);
+  const std::vector<ResourceId> nodes = g.find("node");
+  ResourcePool pool(g);
+  ResourceRequest one;
+  one.nnodes = 1;
+  auto busy = pool.allocate(one);
+  ASSERT_TRUE(busy.has_value());
+  ASSERT_EQ(busy->nodes, std::vector<ResourceId>{nodes[0]});
+  // A busy node is refused and stays allocated.
+  EXPECT_FALSE(pool.remove(nodes[0]).has_value());
+  EXPECT_EQ(pool.total_nodes(), 4u);
+  // A free node leaves the pool; removing it twice is refused.
+  ASSERT_TRUE(pool.remove(nodes[1]).has_value());
+  EXPECT_FALSE(pool.remove(nodes[1]).has_value());
+  EXPECT_EQ(pool.total_nodes(), 3u);
+  EXPECT_EQ(pool.free_nodes(), 2u);
+  ResourceRequest all_four;
+  all_four.nnodes = 4;
+  EXPECT_FALSE(pool.feasible(all_four));
+  // Once everything is released, a full-width allocation never gets it.
+  ASSERT_TRUE(pool.release(busy->id).has_value());
+  ResourceRequest three;
+  three.nnodes = 3;
+  auto rest = pool.allocate(three);
+  ASSERT_TRUE(rest.has_value());
+  EXPECT_EQ(rest->nodes,
+            (std::vector<ResourceId>{nodes[0], nodes[2], nodes[3]}));
+  EXPECT_FALSE(pool.allocate(one).has_value());
+}
+
 TEST(Pool, PowerBudgetGatesConcurrency) {
   ResourceGraph g = small_center();
   ResourcePool pool(g);  // budget = 5600 W

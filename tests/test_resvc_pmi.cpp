@@ -1,4 +1,4 @@
-// resvc (resource enumeration/allocation in the KVS) and the PMI bootstrap
+// resvc (resource enumeration in the KVS) and the PMI bootstrap
 // library (the paper's MPI-runtime integration path).
 #include <gtest/gtest.h>
 
@@ -26,79 +26,6 @@ TEST(Resvc, EnumeratesNodesIntoKvs) {
     if (n0.get_int("cores") != 16 || n0.get_string("state") != "up")
       throw FluxException(Error(errc::proto, "bad node record"));
   }(h.get()));
-}
-
-TEST(Resvc, AllocateRecordsAndFrees) {
-  SimSession s(SimSession::default_config(8));
-  auto h = s.attach(5);
-  s.run([](Handle* hd) -> Task<void> {
-    KvsClient kvs(*hd);
-    Json req = Json::object(
-        {{"jobid", "lwj1"}, {"dir", "lwj.lwj1"}, {"nnodes", 3}});
-    Message resp = co_await hd->request("resvc.alloc").payload(std::move(req)).call();
-    if (resp.payload().at("ranks").size() != 3)
-      throw FluxException(Error(errc::proto, "expected 3 ranks"));
-    // Allocation recorded in the KVS under the caller's dir.
-    Json rec = co_await kvs.get("lwj.lwj1.resources");
-    if (rec.size() != 3)
-      throw FluxException(Error(errc::proto, "allocation not recorded"));
-    Message st = co_await hd->request("resvc.status").call();
-    if (st.payload().get_int("free") != 5)
-      throw FluxException(Error(errc::proto, "free count wrong"));
-    Json fr = Json::object({{"jobid", "lwj1"}});
-    co_await hd->request("resvc.free").payload(std::move(fr)).call();
-    Message st2 = co_await hd->request("resvc.status").call();
-    if (st2.payload().get_int("free") != 8)
-      throw FluxException(Error(errc::proto, "free did not return nodes"));
-  }(h.get()));
-}
-
-TEST(Resvc, AllocWithoutDirIsEinval) {
-  // resvc never derives a KVS path from the jobid: the caller names it.
-  SimSession s(SimSession::default_config(4));
-  auto h = s.attach(0);
-  try {
-    s.run([](Handle* hd) -> Task<void> {
-      Json req = Json::object({{"jobid", "nodir"}, {"nnodes", 1}});
-      co_await hd->request("resvc.alloc").payload(std::move(req)).call();
-    }(h.get()));
-    FAIL() << "expected EINVAL";
-  } catch (const FluxException& e) {
-    EXPECT_EQ(e.error().code, errc::inval);
-  }
-}
-
-TEST(Resvc, ExhaustionIsEnospc) {
-  SimSession s(SimSession::default_config(4));
-  auto h = s.attach(0);
-  try {
-    s.run([](Handle* hd) -> Task<void> {
-      Json req =
-          Json::object({{"jobid", "big"}, {"dir", "lwj.big"}, {"nnodes", 99}});
-      co_await hd->request("resvc.alloc").payload(std::move(req)).call();
-    }(h.get()));
-    FAIL() << "expected ENOSPC";
-  } catch (const FluxException& e) {
-    EXPECT_EQ(e.error().code, errc::no_spc);
-  }
-}
-
-TEST(Resvc, DuplicateJobidIsEexist) {
-  SimSession s(SimSession::default_config(4));
-  auto h = s.attach(0);
-  try {
-    s.run([](Handle* hd) -> Task<void> {
-      Json r1 =
-          Json::object({{"jobid", "dup"}, {"dir", "lwj.dup"}, {"nnodes", 1}});
-      co_await hd->request("resvc.alloc").payload(std::move(r1)).call();
-      Json r2 =
-          Json::object({{"jobid", "dup"}, {"dir", "lwj.dup"}, {"nnodes", 1}});
-      co_await hd->request("resvc.alloc").payload(std::move(r2)).call();
-    }(h.get()));
-    FAIL() << "expected EEXIST";
-  } catch (const FluxException& e) {
-    EXPECT_EQ(e.error().code, errc::exist);
-  }
 }
 
 // ---------------------------------------------------------------------------

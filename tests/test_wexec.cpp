@@ -1,7 +1,7 @@
 // Execution through the job pipeline: bulk launch, stdio capture into the
 // KVS, cancellation, exit aggregation — all via the fluent h.job() API
 // (ingest -> queue -> schedule -> wexec -> KVS fold-back). Two tests drive
-// wexec.run directly, as RtInstance does, with the caller's own flat dir.
+// wexec.run directly, with the caller's own flat dir.
 #include <gtest/gtest.h>
 
 #include "api/job_client.hpp"
