@@ -2,6 +2,8 @@
 #include <benchmark/benchmark.h>
 
 #include "base/rng.hpp"
+#include "exec/future.hpp"
+#include "exec/sim_executor.hpp"
 #include "hash/sha1.hpp"
 #include "hash/sha1_compress.hpp"
 #include "json/json.hpp"
@@ -141,6 +143,37 @@ BENCHMARK(BM_MessageForwardEncode)
     ->Args({512, 1})
     ->Args({32768, 0})
     ->Args({32768, 1});
+
+// Event fan-out plus RPC-result hand-off of one kvs.setroot-shaped event
+// (version, rootref, 8 fence names): an interior broker copies the event to
+// two children, and a waiter takes a copy out of a settled Future<Message>.
+// Message copies share the parsed payload, so this is header-sized work
+// whatever the payload size.
+void BM_MessageFanout(benchmark::State& state) {
+  Json fences = Json::array();
+  for (int i = 0; i < 8; ++i)
+    fences.push_back("#commit.3." + std::to_string(1000 + i) + "." +
+                     std::to_string(i));
+  Message ev = Message::event(
+      "kvs.setroot",
+      Json::object({{"version", 4242},
+                    {"rootref", "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
+                    {"fences", std::move(fences)}}));
+  ev.seq = 7;
+  SimExecutor ex;
+  Promise<Message> promise(ex);
+  promise.set_value(ev);
+  Future<Message> settled = promise.future();
+  for (auto _ : state) {
+    Message to_left = ev;
+    Message to_right = ev;
+    benchmark::DoNotOptimize(to_left);
+    benchmark::DoNotOptimize(to_right);
+    Message result = settled.wait();
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_MessageFanout);
 
 void BM_KvsApplyTransaction(benchmark::State& state) {
   const auto ntuples = static_cast<std::size_t>(state.range(0));

@@ -40,12 +40,14 @@ Json::Json(unsigned long long v) {
     value_ = static_cast<std::int64_t>(v);
 }
 
-Json Json::array(std::initializer_list<Json> items) {
-  return Json(JsonArray(items));
+Json Json::array(std::initializer_list<JsonArrayItem> items) {
+  JsonArray arr;
+  arr.reserve(items.size());
+  for (const JsonArrayItem& item : items) arr.push_back(std::move(item.value));
+  return Json(std::move(arr));
 }
 
-Json Json::object(
-    std::initializer_list<std::pair<const std::string, Json>> items) {
+Json Json::object(std::initializer_list<JsonObjectItem> items) {
   return Json(JsonObject(items));
 }
 

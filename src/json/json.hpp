@@ -22,6 +22,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -30,6 +31,8 @@
 namespace flux {
 
 class Json;
+struct JsonArrayItem;
+struct JsonObjectItem;
 
 using JsonArray = std::vector<Json>;
 
@@ -47,7 +50,7 @@ class JsonObject {
   using const_iterator = storage::const_iterator;
 
   JsonObject() = default;
-  JsonObject(std::initializer_list<std::pair<const std::string, Json>> items);
+  JsonObject(std::initializer_list<JsonObjectItem> items);
 
   [[nodiscard]] iterator begin() noexcept;
   [[nodiscard]] iterator end() noexcept;
@@ -109,11 +112,12 @@ class Json {
   Json(JsonArray a) : value_(std::move(a)) {}               // NOLINT
   Json(JsonObject o) : value_(std::move(o)) {}              // NOLINT
 
-  /// Build an array: Json::array({1, "two", 3.0}).
-  static Json array(std::initializer_list<Json> items = {});
-  /// Build an object: Json::object({{"k", 1}, {"v", "x"}}).
-  static Json object(
-      std::initializer_list<std::pair<const std::string, Json>> items = {});
+  /// Build an array: Json::array({1, "two", 3.0}). Rvalue items are moved
+  /// in, lvalues copied (see JsonArrayItem).
+  static Json array(std::initializer_list<JsonArrayItem> items = {});
+  /// Build an object: Json::object({{"k", 1}, {"v", "x"}}). Rvalue keys and
+  /// values are moved in, lvalues copied (see JsonObjectItem).
+  static Json object(std::initializer_list<JsonObjectItem> items = {});
 
   [[nodiscard]] Type type() const noexcept;
   [[nodiscard]] bool is_null() const noexcept { return type() == Type::Null; }
@@ -186,6 +190,32 @@ class Json {
   void dump_pretty_to(std::string& out, int indent, int depth) const;
 
   Value value_;
+};
+
+// ---------------------------------------------------------------------------
+// Initializer-list items of the Json::array / Json::object factories.
+// ---------------------------------------------------------------------------
+// An initializer_list's backing array is const, so factories over plain Json
+// elements could only deep-copy each member out of it. These item types take
+// the argument by forwarding (an rvalue is moved in, an lvalue copied once)
+// and hold it in `mutable` members, so the factory moves it out again: a
+// freshly built subtree passed as `std::move(x)` is never copied. Each list
+// is consumed by the factory it is passed to.
+
+/// One element of Json::array({...}).
+struct JsonArrayItem {
+  template <class T>
+    requires std::is_constructible_v<Json, T&&>
+  JsonArrayItem(T&& v) : value(std::forward<T>(v)) {}  // NOLINT
+  mutable Json value;
+};
+
+/// One member of Json::object({{"key", value}, ...}); keeps the first of
+/// duplicate keys, as std::map's initializer-list constructor does.
+struct JsonObjectItem {
+  JsonObjectItem(std::string k, Json v) : key(std::move(k)), value(std::move(v)) {}
+  mutable std::string key;
+  mutable Json value;
 };
 
 /// Escape a string into a JSON string literal (with surrounding quotes).
@@ -269,10 +299,10 @@ inline std::size_t JsonObject::erase(std::string_view key) {
   return 1;
 }
 
-inline JsonObject::JsonObject(
-    std::initializer_list<std::pair<const std::string, Json>> items) {
+inline JsonObject::JsonObject(std::initializer_list<JsonObjectItem> items) {
   items_.reserve(items.size());
-  for (const auto& [k, v] : items) emplace(k, v);
+  for (const JsonObjectItem& item : items)
+    emplace(std::move(item.key), std::move(item.value));
 }
 
 inline bool operator==(const JsonObject& a, const JsonObject& b) noexcept {

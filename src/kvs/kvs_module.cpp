@@ -1201,6 +1201,8 @@ Task<std::vector<ObjPtr>> KvsModule::ensure_objects(
       payload["walk"] = std::move(names);
     }
     if (shards_ > 1) payload["shard"] = static_cast<std::int64_t>(shard);
+    // Every attempt sends a copy of one request: the copies share its body.
+    const Message load = Message::request("kvs.load", std::move(payload));
 
     // A dropped/corrupted batch must taint or retry, never hang: with a
     // session RPC policy the attempt gets a deadline (+ retries); without
@@ -1211,7 +1213,7 @@ Task<std::vector<ObjPtr>> KvsModule::ensure_objects(
     Duration backoff = policy.backoff;
     int attempts_left = policy.has_retries() ? policy.retries : 0;
     for (;;) {
-      Message req = Message::request("kvs.load", payload);
+      Message req = load;
       bool failed = false;
       try {
         if (via_session_tree(shard)) {

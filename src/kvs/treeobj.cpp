@@ -64,8 +64,11 @@ ObjPtr make_val_object(Json value) {
 }
 
 ObjPtr make_dir_object(const std::map<std::string, Sha1, std::less<>>& entries) {
-  Json e = Json::object();
-  for (const auto& [name, ref] : entries) e[name] = ref.hex();
+  // Directory objects are long-lived and the entry vector is moved into the
+  // object as is: reserve exactly so it carries no growth slack.
+  JsonObject e;
+  e.reserve(entries.size());
+  for (const auto& [name, ref] : entries) e.emplace(name, ref.hex());
   return make_object(Json::object({{"t", "dir"}, {"e", std::move(e)}}));
 }
 

@@ -99,7 +99,7 @@ const SharedBytes& Message::encoded_body() const {
     // one allocation (the SharedBytes result), not two.
     thread_local std::string json_buf;
     json_buf.clear();
-    payload_.dump_into(json_buf);
+    payload().dump_into(json_buf);
     const std::string& json = json_buf;
     std::size_t att_size = 0;
     if (attachment_)
@@ -293,7 +293,7 @@ void MessageCodecAccess::install_body(Message& m, Json payload,
                                       std::shared_ptr<const std::string> data,
                                       std::shared_ptr<const Attachment> att,
                                       SharedBytes cache) {
-  m.payload_ = std::move(payload);
+  m.payload_ = std::make_shared<Json>(std::move(payload));
   m.data_ = std::move(data);
   m.attachment_ = std::move(att);
   m.body_size_ = cache ? cache.size() : Message::kNoBodySize;

@@ -22,11 +22,34 @@ std::string_view trace_plane_name(TraceHop::Plane p) noexcept {
   return "?";
 }
 
+namespace {
+const Json kNullPayload;
+}  // namespace
+
+const Json& Message::null_payload() noexcept { return kNullPayload; }
+
+Json& Message::mutable_payload() {
+  invalidate_encoding();
+  if (!payload_)
+    payload_ = std::make_shared<Json>();
+  else if (payload_.use_count() > 1)
+    payload_ = std::make_shared<Json>(*payload_);
+  return *payload_;
+}
+
+void Message::set_payload(Json p) {
+  invalidate_encoding();
+  if (payload_ && payload_.use_count() == 1)
+    *payload_ = std::move(p);
+  else
+    payload_ = std::make_shared<Json>(std::move(p));
+}
+
 Message Message::request(std::string topic, Json payload) {
   Message m;
   m.type = MsgType::Request;
   m.topic = std::move(topic);
-  m.payload_ = std::move(payload);
+  m.payload_ = std::make_shared<Json>(std::move(payload));
   return m;
 }
 
@@ -34,7 +57,7 @@ Message Message::event(std::string topic, Json payload) {
   Message m;
   m.type = MsgType::Event;
   m.topic = std::move(topic);
-  m.payload_ = std::move(payload);
+  m.payload_ = std::make_shared<Json>(std::move(payload));
   return m;
 }
 
@@ -48,14 +71,14 @@ Message Message::respond(Json response_payload) const {
   m.flags = flags;
   m.route = route;  // unwound hop-by-hop by the broker
   m.trace = trace;  // the return path keeps appending to the request's hops
-  m.payload_ = std::move(response_payload);
+  m.payload_ = std::make_shared<Json>(std::move(response_payload));
   return m;
 }
 
 Message Message::respond_error(errc code, std::string_view what) const {
   Message m = respond();
   m.errnum = static_cast<int>(code);
-  if (!what.empty()) m.payload_ = Json::object({{"errmsg", std::string(what)}});
+  if (!what.empty()) *m.payload_ = Json::object({{"errmsg", std::string(what)}});
   return m;
 }
 
@@ -94,7 +117,7 @@ std::size_t Message::wire_size() const {
   if (body_size_ == kNoBodySize) {
     std::size_t att = 0;
     if (attachment_) att = attachment_->tag().size() + attachment_->wire_size();
-    body_size_ = 4 /*json len*/ + payload_.dump_size() + 4 /*data len*/ +
+    body_size_ = 4 /*json len*/ + payload().dump_size() + 4 /*data len*/ +
                  data_size() + 1 /*attachment tag len*/ +
                  4 /*attachment len*/ + att;
   }

@@ -100,7 +100,11 @@ struct RouteHop {
   friend bool operator==(const RouteHop&, const RouteHop&) = default;
 };
 
-/// A CMB message. Cheap to copy: the bulk data frame is shared & immutable.
+/// A CMB message. Cheap to copy: every body frame (the parsed JSON payload,
+/// the bulk data, the attachment and the memoized encoding) is shared and
+/// immutable while shared, so a copy costs the header fields plus a few
+/// reference counts. The payload is the one frame changed in place, and its
+/// mutators copy on write.
 struct Message {
   MsgType type = MsgType::Request;
 
@@ -137,17 +141,20 @@ struct Message {
   // rewrites them on every hop, and they are cheap to re-emit — only the
   // body is memoized.
 
-  /// JSON payload frame (read-only view).
-  [[nodiscard]] const Json& payload() const noexcept { return payload_; }
-  /// Mutable payload access; invalidates the cached body encoding.
-  [[nodiscard]] Json& mutable_payload() noexcept {
-    invalidate_encoding();
-    return payload_;
+  /// JSON payload frame (read-only view). A message that never had one
+  /// reads null.
+  [[nodiscard]] const Json& payload() const noexcept {
+    return payload_ ? *payload_ : null_payload();
   }
-  void set_payload(Json p) noexcept {
-    invalidate_encoding();
-    payload_ = std::move(p);
-  }
+  /// Mutable payload access; invalidates the cached body encoding. Clones
+  /// the payload first if another message shares it (copy-on-write), so
+  /// copies made before this call keep the old value. Do not write through
+  /// the reference once this message has been copied again: the copy shares
+  /// the object.
+  [[nodiscard]] Json& mutable_payload();
+  /// Replace the payload; invalidates the cached body encoding. Messages
+  /// that shared the old payload keep it.
+  void set_payload(Json p);
 
   /// Optional bulk data frame (shared, immutable).
   [[nodiscard]] const std::shared_ptr<const std::string>& data() const noexcept {
@@ -238,7 +245,14 @@ struct Message {
 
   static constexpr std::size_t kNoBodySize = static_cast<std::size_t>(-1);
 
-  Json payload_;
+  [[nodiscard]] static const Json& null_payload() noexcept;
+
+  // Shared with every copy of this message; never mutated while another
+  // message holds it (mutable_payload/set_payload check use_count first).
+  // Null pointer = null payload. Copies reach another thread only through
+  // mutex-guarded hand-offs (inboxes carry encoded frames, futures lock), so
+  // a use_count of 1 means every other holder's reads happened before.
+  std::shared_ptr<Json> payload_;
   std::shared_ptr<const std::string> data_;
   std::shared_ptr<const Attachment> attachment_;
 

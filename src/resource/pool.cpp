@@ -23,8 +23,7 @@ ResourceRequest ResourceRequest::from_json(const Json& j) {
 ResourcePool::ResourcePool(const ResourceGraph& graph, ResourceId scope)
     : graph_(graph) {
   const ResourceId from = (scope == kNoResource) ? graph.root() : scope;
-  nodes_ = graph.find("node", from);
-  free_.insert(nodes_.begin(), nodes_.end());
+  for (ResourceId n : graph.find("node", from)) admit(n);
   power_budget_ = graph.total_capacity("power", from);
   io_budget_ = graph.total_capacity("bandwidth", from);
 }
@@ -33,14 +32,16 @@ ResourcePool::ResourcePool(const ResourceGraph& graph,
                            std::vector<ResourceId> nodes,
                            double power_budget_w, double io_bw_budget_gbs)
     : graph_(graph),
-      nodes_(std::move(nodes)),
       power_budget_(power_budget_w),
       io_budget_(io_bw_budget_gbs) {
-  free_.insert(nodes_.begin(), nodes_.end());
+  for (ResourceId n : nodes) admit(n);
 }
 
-std::int64_t ResourcePool::cores_of(ResourceId node) const {
-  return static_cast<std::int64_t>(graph_.find("core", node).size());
+void ResourcePool::admit(ResourceId node) {
+  nodes_.push_back(node);
+  free_.insert(node);
+  if (!cores_.contains(node))
+    cores_.emplace(node, static_cast<std::int64_t>(graph_.find("core", node).size()));
 }
 
 bool ResourcePool::feasible(const ResourceRequest& req) const {
@@ -180,10 +181,7 @@ Status ResourcePool::shrink_nodes(std::uint64_t allocation_id,
 
 void ResourcePool::adopt(const std::vector<ResourceId>& nodes, double power_w,
                          double io_bw_gbs) {
-  for (ResourceId n : nodes) {
-    nodes_.push_back(n);
-    free_.insert(n);
-  }
+  for (ResourceId n : nodes) admit(n);
   power_budget_ += power_w;
   io_budget_ += io_bw_gbs;
 }

@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "base/error.hpp"
@@ -102,10 +103,18 @@ class ResourcePool {
   }
 
  private:
-  [[nodiscard]] std::int64_t cores_of(ResourceId node) const;
+  /// Add `node` to nodes_ and free_, counting its cores once.
+  void admit(ResourceId node);
+  [[nodiscard]] std::int64_t cores_of(ResourceId node) const {
+    return cores_.at(node);
+  }
 
   const ResourceGraph& graph_;
   std::vector<ResourceId> nodes_;
+  /// Core count of every node this pool has held. The graph is immutable, so
+  /// a count never goes stale; feasible/fits_now/allocate would otherwise
+  /// walk each node's subtree on every call.
+  std::unordered_map<ResourceId, std::int64_t> cores_;
   std::set<ResourceId> free_;
   double power_budget_ = 0;
   double power_used_ = 0;

@@ -139,6 +139,43 @@ TEST(Json, PushBackPromotesNull) {
   EXPECT_EQ(j.size(), 2u);
 }
 
+TEST(Json, InitializerListMovesRvalues) {
+  // Rvalues keep their buffers: moved into the factories, never copied.
+  std::string str(1000, 's');
+  JsonArray arr(100, Json(7));
+  const char* str_buf = str.data();
+  const Json* arr_buf = arr.data();
+  Json obj = Json::object({{"s", std::move(str)}, {"a", std::move(arr)}});
+  EXPECT_EQ(obj.at("s").as_string().data(), str_buf);
+  EXPECT_EQ(obj.at("a").as_array().data(), arr_buf);
+
+  std::string str2(1000, 't');
+  JsonArray arr2(100, Json(8));
+  const char* str2_buf = str2.data();
+  const Json* arr2_buf = arr2.data();
+  Json list = Json::array({std::move(str2), std::move(arr2)});
+  EXPECT_EQ(list.as_array()[0].as_string().data(), str2_buf);
+  EXPECT_EQ(list.as_array()[1].as_array().data(), arr2_buf);
+
+  // Lvalues are copied and left intact.
+  const std::string keep(1000, 'k');
+  Json tree = Json::array({1, 2, 3});
+  Json obj2 = Json::object({{"s", keep}, {"t", tree}});
+  EXPECT_EQ(keep, std::string(1000, 'k'));
+  EXPECT_EQ(tree, Json::array({1, 2, 3}));
+  EXPECT_NE(obj2.at("s").as_string().data(), keep.data());
+  EXPECT_EQ(obj2.at("s").as_string(), keep);
+  EXPECT_EQ(obj2.at("t"), tree);
+  Json list2 = Json::array({keep, tree});
+  EXPECT_EQ(keep, std::string(1000, 'k'));
+  EXPECT_EQ(tree, Json::array({1, 2, 3}));
+  EXPECT_NE(list2.as_array()[0].as_string().data(), keep.data());
+  EXPECT_EQ(list2.as_array()[1], tree);
+
+  // Duplicate keys keep the first occurrence, as before.
+  EXPECT_EQ(Json::object({{"k", 1}, {"k", 2}}).at("k"), Json(1));
+}
+
 TEST(Json, DumpSizeMatchesDump) {
   Json j = Json::object(
       {{"arr", Json::array({1, 2.5, "three", true, nullptr})},

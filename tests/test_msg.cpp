@@ -50,6 +50,48 @@ TEST(Message, RespondCopiesRoutingState) {
   EXPECT_EQ(err.payload().get_string("errmsg"), "no such key");
 }
 
+TEST(Message, CopySharesPayloadUntilMutated) {
+  Message a = Message::request(
+      "kvs.load", Json::object({{"refs", Json::array({"r1", "r2"})}}));
+  (void)encode(a);
+  Message b = a;
+  Message c = a;
+  // Copies share one payload object (and the memoized body encoding).
+  EXPECT_EQ(&a.payload(), &b.payload());
+  EXPECT_EQ(&a.payload(), &c.payload());
+  const std::string original = a.payload().dump();
+  const std::uint8_t* body = a.encoded_body().data();
+
+  // Mutating one copy clones first: the others keep payload and encoding.
+  b.mutable_payload()["walk"] = Json::array({"a"});
+  EXPECT_NE(&a.payload(), &b.payload());
+  EXPECT_TRUE(b.payload().contains("walk"));
+  EXPECT_FALSE(b.has_encoded_body());
+  c.set_payload(Json::object({{"replaced", true}}));
+  EXPECT_TRUE(c.payload().get_bool("replaced"));
+  EXPECT_EQ(a.payload().dump(), original);
+  ASSERT_TRUE(a.has_encoded_body());
+  EXPECT_EQ(a.encoded_body().data(), body);
+  auto back = decode(encode(a));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->payload(), a.payload());
+
+  // A payload nobody else holds is mutated in place.
+  const Json* own = &a.payload();
+  a.mutable_payload()["shard"] = 1;
+  EXPECT_EQ(&a.payload(), own);
+  EXPECT_FALSE(a.has_encoded_body());
+
+  // A default message still reads null, and so does a copy of it after the
+  // other copy gains a payload.
+  Message empty;
+  EXPECT_TRUE(empty.payload().is_null());
+  Message filled = empty;
+  filled.mutable_payload()["x"] = 1;
+  EXPECT_TRUE(empty.payload().is_null());
+  EXPECT_EQ(filled.payload().get_int("x"), 1);
+}
+
 TEST(Codec, RoundTripAllFields) {
   Message m = Message::request("kvs.fence",
                                Json::object({{"name", "f"}, {"nprocs", 12}}));

@@ -229,5 +229,39 @@ TEST(Pool, CoreConstraintSelectsWideNodes) {
   EXPECT_FALSE(pool.allocate(one_more).has_value());
 }
 
+TEST(Pool, CoreCountsHoldAcrossRemoveAndAdopt) {
+  // 16 cores per node. The pool starts as cluster 0 (8 nodes) and adopts a
+  // node of cluster 1 it has never held, so nine-node requests see it.
+  ResourceGraph g = small_center();
+  const std::vector<ResourceId> clusters = g.find("cluster");
+  ResourcePool pool(g, clusters[0]);
+  const ResourceId outsider = g.find("node", clusters[1]).front();
+  const ResourceId insider = g.find("node", clusters[0]).front();
+  auto check = [&](std::int64_t nnodes) {
+    ResourceRequest req;
+    req.nnodes = nnodes;
+    req.cores_per_node = 17;
+    EXPECT_FALSE(pool.feasible(req));
+    req.cores_per_node = 16;
+    EXPECT_TRUE(pool.feasible(req));
+    EXPECT_TRUE(pool.fits_now(req));
+    req.cores_per_node = 15;
+    EXPECT_TRUE(pool.feasible(req));
+  };
+  check(8);
+  pool.adopt({outsider}, 0, 0);
+  check(9);
+  ASSERT_TRUE(pool.remove(insider).has_value());
+  check(8);
+  pool.adopt({insider}, 0, 0);
+  check(9);
+  ResourceRequest all;
+  all.nnodes = 9;
+  all.cores_per_node = 16;
+  auto alloc = pool.allocate(all);
+  ASSERT_TRUE(alloc.has_value());
+  EXPECT_EQ(alloc->nodes.size(), 9u);
+}
+
 }  // namespace
 }  // namespace flux
