@@ -96,6 +96,8 @@ class Handle {
   /// The builder is awaitable (resolves with the raw response); use .call()
   /// for the checked form that throws FluxException on an error response.
   [[nodiscard]] RequestBuilder request(std::string topic);
+  /// The same, starting from a request built elsewhere (KvsTxn::request).
+  [[nodiscard]] RequestBuilder request(Message req);
 
   /// Start a fluent job submission (api/job_client.hpp):
   ///   JobHandle jh = co_await h.job().command("echo").nnodes(2).submit();
@@ -234,8 +236,7 @@ class RequestBuilder {
 
  private:
   friend class Handle;
-  RequestBuilder(Handle& h, std::string topic)
-      : handle_(&h), req_(Message::request(std::move(topic))) {}
+  RequestBuilder(Handle& h, Message req) : handle_(&h), req_(std::move(req)) {}
 
   /// The policy this request will run under: the handle default overlaid
   /// with this builder's .timeout()/.retry()/.no_retry() calls.
@@ -249,7 +250,11 @@ class RequestBuilder {
 };
 
 inline RequestBuilder Handle::request(std::string topic) {
-  return RequestBuilder(*this, std::move(topic));
+  return RequestBuilder(*this, Message::request(std::move(topic)));
+}
+
+inline RequestBuilder Handle::request(Message req) {
+  return RequestBuilder(*this, std::move(req));
 }
 
 }  // namespace flux

@@ -18,7 +18,7 @@ Broker::Broker(Session& session, NodeId rank, Executor& ex)
 }
 
 Broker::~Broker() {
-  // Modules may own client Handles (e.g. job-manager's KVS connection) whose
+  // Modules may own client Handles (e.g. wexec's running processes) whose
   // destructors unregister endpoints; destroy them while the endpoint table
   // and the rest of the broker state are still alive.
   modules_by_name_.clear();
@@ -70,11 +70,7 @@ void Broker::shutdown() {
   // Settle outstanding RPCs: a coroutine parked on a Future owns the Future
   // and the Future's state owns the coroutine handle, so an unsettled promise
   // strands the whole frame (Session::~Session drains the posted resumes).
-  for (auto& [tag, pending] : pending_) {
-    ex_.cancel(pending.timer);
-    pending.promise.set_error(Error(errc::canceled, "session shutdown"));
-  }
-  pending_.clear();
+  settle_all_rpcs(Error(errc::canceled, "session shutdown"));
 }
 
 Module* Broker::find_module(std::string_view service) noexcept {
@@ -175,32 +171,60 @@ void Broker::receive(Message msg) {
   }
 }
 
-Future<Message> Broker::rpc(std::uint64_t endpoint, Message req) {
+Future<Message> Broker::rpc(std::uint64_t endpoint, Message req,
+                            std::optional<Duration> timeout) {
+  return issue_rpc(std::move(req),
+                   RouteHop{RouteHop::Kind::Client, rank_, endpoint}, timeout);
+}
+
+Future<Message> Broker::issue_rpc(Message req, RouteHop origin,
+                                  std::optional<Duration> timeout) {
   Promise<Message> promise(ex_);
+  // Burned even when refused below, so a tag never names two RPCs.
+  const std::uint32_t tag = next_matchtag_++;
   if (failed_) {
     // The local socket's peer is dead: refuse instead of registering a
     // pending entry no response will ever match (a module timer that
-    // outlives fail() would otherwise park its coroutine forever). The
-    // matchtag is still burned: the timeout overloads arm against
-    // next_matchtag_ - 1, which must not alias an older live RPC.
-    next_matchtag_++;
+    // outlives fail() would otherwise park its coroutine forever).
     promise.set_error(Error(errc::host_down, "broker failed"));
     return promise.future();
   }
-  req.matchtag = next_matchtag_++;
-  req.route.push_back(RouteHop{RouteHop::Kind::Client, rank_, endpoint});
-  pending_.emplace(req.matchtag, PendingRpc{promise, ex_.now()});
-  // The node-local hop: client -> broker (the paper's UNIX-domain socket).
-  session_.send(rank_, rank_, std::move(req));
+  req.matchtag = tag;
+  req.route.push_back(origin);
+  const NodeId target =
+      origin.kind == RouteHop::Kind::Direct ? req.nodeid : kNodeAny;
+  pending_.emplace(tag, PendingRpc{promise, ex_.now(), target});
+  std::string topic = timeout ? req.topic : std::string();
+  if (origin.kind == RouteHop::Kind::Client) {
+    // The node-local hop: client -> broker (the paper's UNIX-domain socket).
+    session_.send(rank_, rank_, std::move(req));
+  } else if (target != kNodeAny && target != rank_) {
+    send(target, std::move(req));
+  } else {
+    // Module requests originate inside the broker: route directly, no local
+    // transport hop (comms modules share the CMB address space).
+    route_request(std::move(req));
+  }
+  if (timeout) arm_rpc_timeout(tag, *timeout, std::move(topic));
   return promise.future();
 }
 
-Future<Message> Broker::rpc(std::uint64_t endpoint, Message req,
-                            Duration timeout) {
-  std::string topic = req.topic;
-  auto fut = rpc(endpoint, std::move(req));
-  arm_rpc_timeout(next_matchtag_ - 1, timeout, std::move(topic));
-  return fut;
+bool Broker::cancel_rpc(std::uint32_t matchtag, std::string why) {
+  auto it = pending_.find(matchtag);
+  if (it == pending_.end()) return false;
+  auto promise = it->second.promise;
+  ex_.cancel(it->second.timer);
+  pending_.erase(it);
+  promise.set_error(Error(errc::canceled, std::move(why)));
+  return true;
+}
+
+void Broker::settle_all_rpcs(const Error& err) {
+  for (auto& [tag, pending] : pending_) {
+    ex_.cancel(pending.timer);
+    pending.promise.set_error(err);
+  }
+  pending_.clear();
 }
 
 void Broker::arm_rpc_timeout(std::uint32_t tag, Duration timeout,
@@ -349,55 +373,19 @@ void Broker::forward_upstream(Message req) {
   send(*up, std::move(req));
 }
 
-Future<Message> Broker::module_rpc(Module& m, Message req) {
-  Promise<Message> promise(ex_);
-  if (failed_) {  // see rpc(): dead broker refuses, never strands a caller
-    next_matchtag_++;
-    promise.set_error(Error(errc::host_down, "broker failed"));
-    return promise.future();
-  }
-  req.matchtag = next_matchtag_++;
-  req.route.push_back(
-      RouteHop{RouteHop::Kind::Module, rank_, m.endpoint_id()});
-  pending_.emplace(req.matchtag, PendingRpc{promise, ex_.now()});
-  // Module requests originate inside the broker: route directly, no local
-  // transport hop (comms modules share the CMB address space).
-  route_request(std::move(req));
-  return promise.future();
-}
-
-Future<Message> Broker::module_rpc(Module& m, Message req, Duration timeout) {
-  std::string topic = req.topic;
-  auto fut = module_rpc(m, std::move(req));
-  arm_rpc_timeout(next_matchtag_ - 1, timeout, std::move(topic));
-  return fut;
-}
-
-Future<Message> Broker::direct_rpc(Module& m, NodeId to, Message req) {
-  Promise<Message> promise(ex_);
-  if (failed_) {  // see rpc(): dead broker refuses, never strands a caller
-    next_matchtag_++;
-    promise.set_error(Error(errc::host_down, "broker failed"));
-    return promise.future();
-  }
-  req.matchtag = next_matchtag_++;
-  req.nodeid = to;
-  req.route.push_back(
-      RouteHop{RouteHop::Kind::Direct, rank_, m.endpoint_id()});
-  pending_.emplace(req.matchtag, PendingRpc{promise, ex_.now(), to});
-  if (to == rank_)
-    route_request(std::move(req));
-  else
-    send(to, std::move(req));
-  return promise.future();
+Future<Message> Broker::module_rpc(Module& m, Message req,
+                                   std::optional<Duration> timeout) {
+  return issue_rpc(std::move(req),
+                   RouteHop{RouteHop::Kind::Module, rank_, m.endpoint_id()},
+                   timeout);
 }
 
 Future<Message> Broker::direct_rpc(Module& m, NodeId to, Message req,
-                                   Duration timeout) {
-  std::string topic = req.topic;
-  auto fut = direct_rpc(m, to, std::move(req));
-  arm_rpc_timeout(next_matchtag_ - 1, timeout, std::move(topic));
-  return fut;
+                                   std::optional<Duration> timeout) {
+  req.nodeid = to;
+  return issue_rpc(std::move(req),
+                   RouteHop{RouteHop::Kind::Direct, rank_, m.endpoint_id()},
+                   timeout);
 }
 
 void Broker::forward_direct(NodeId to, Message req) {
@@ -648,11 +636,7 @@ void Broker::fail() {
   // before anything else observes the failure.
   for (auto& m : modules_) m->on_fail();
   // Settle outstanding local RPCs so client coroutines do not leak.
-  for (auto& [tag, pending] : pending_) {
-    ex_.cancel(pending.timer);
-    pending.promise.set_error(Error(errc::host_down, "broker failed"));
-  }
-  pending_.clear();
+  settle_all_rpcs(Error(errc::host_down, "broker failed"));
 }
 
 void Broker::restart() {
@@ -672,11 +656,7 @@ void Broker::restart() {
   // sends were dropped). Settle them — silently clearing would strand each
   // caller's timeout timer against a missing entry, parking the coroutine
   // forever.
-  for (auto& [tag, pending] : pending_) {
-    ex_.cancel(pending.timer);
-    pending.promise.set_error(Error(errc::host_down, "broker restarted"));
-  }
-  pending_.clear();
+  settle_all_rpcs(Error(errc::host_down, "broker restarted"));
   dead_ranks_.clear();
   if (!is_root()) {
     last_event_seq_ = 0;  // accept the next sequenced event, whatever it is

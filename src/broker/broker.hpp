@@ -23,6 +23,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -78,10 +79,10 @@ class Broker {
   void receive(Message msg);
   /// A local endpoint submits a request; the response resolves the future.
   /// Travels through the node-local transport hop (models the UNIX-domain
-  /// socket clients use in the paper's prototype).
-  Future<Message> rpc(std::uint64_t endpoint, Message req);
-  /// rpc() with a deadline; resolves ETIMEDOUT if no response in time.
-  Future<Message> rpc(std::uint64_t endpoint, Message req, Duration timeout);
+  /// socket clients use in the paper's prototype). With a `timeout`, resolves
+  /// ETIMEDOUT if no response comes in time.
+  Future<Message> rpc(std::uint64_t endpoint, Message req,
+                      std::optional<Duration> timeout = {});
   /// Submit a request expecting no response.
   void submit(std::uint64_t endpoint, Message req);
 
@@ -94,21 +95,29 @@ class Broker {
   /// Publish an event (sequenced by the session root, broadcast to all).
   void publish(Message ev);
   void publish(std::string topic, Json payload = Json::object());
-  /// Module-initiated RPC (routed like any request).
-  Future<Message> module_rpc(Module& m, Message req);
-  /// module_rpc() with a per-attempt deadline; resolves errc::timeout if no
-  /// response in time (module-internal RPCs otherwise never fail locally,
-  /// which turns a dropped request into a permanent hang).
-  Future<Message> module_rpc(Module& m, Message req, Duration timeout);
+  /// Module-initiated RPC (routed like any request, without the node-local
+  /// hop). With a per-attempt `timeout`, resolves errc::timeout if no
+  /// response comes in time (module-internal RPCs otherwise never fail
+  /// locally, which turns a dropped request into a permanent hang).
+  Future<Message> module_rpc(Module& m, Message req,
+                             std::optional<Duration> timeout = {});
   /// Module-initiated RPC sent straight to `to` over the transport; the
   /// response also returns direct (RouteHop::Kind::Direct). This is the
   /// sharded-KVS overlay hop: per-shard reduction trees are not session
   /// topology, so their edges bypass both tree and ring routing. If `to`
   /// is later declared dead ("live.down"), the pending RPC settles with
-  /// EHOSTDOWN instead of hanging.
-  Future<Message> direct_rpc(Module& m, NodeId to, Message req);
-  /// direct_rpc() with a per-attempt deadline (see module_rpc overload).
-  Future<Message> direct_rpc(Module& m, NodeId to, Message req, Duration timeout);
+  /// EHOSTDOWN instead of hanging. `timeout` as for module_rpc.
+  Future<Message> direct_rpc(Module& m, NodeId to, Message req,
+                             std::optional<Duration> timeout = {});
+  /// Settle the pending RPC `matchtag` now with errc::canceled and disarm
+  /// its deadline; a response that still arrives is dropped as late. False
+  /// when that RPC already settled.
+  bool cancel_rpc(std::uint32_t matchtag, std::string why);
+  /// The matchtag of the RPC this broker issued last: read it right after
+  /// rpc()/module_rpc()/direct_rpc() to cancel_rpc() that RPC later.
+  [[nodiscard]] std::uint32_t last_matchtag() const noexcept {
+    return next_matchtag_ - 1;
+  }
   /// Fire-and-forget request sent straight to `to` (no response expected);
   /// the direct-edge analogue of forward_upstream.
   void forward_direct(NodeId to, Message req);
@@ -174,6 +183,15 @@ class Broker {
   void deliver_event(const Message& msg);
   void send(NodeId to, Message msg);
   void maybe_complete_hello();
+  /// The one registration path behind rpc/module_rpc/direct_rpc: refuse on
+  /// a failed broker, else take a matchtag, push `origin` on the route,
+  /// record the pending entry and send — over the node-local hop (Client),
+  /// straight to req.nodeid (Direct to another rank) or into routing
+  /// (Module) — then arm `timeout` if given.
+  Future<Message> issue_rpc(Message req, RouteHop origin,
+                            std::optional<Duration> timeout);
+  /// Settle every pending RPC with `err` (shutdown, fail, restart).
+  void settle_all_rpcs(const Error& err);
   /// Settle the pending RPC `tag` with errc::timeout after `timeout` passes
   /// (no-op if the response already arrived).
   void arm_rpc_timeout(std::uint32_t tag, Duration timeout, std::string topic);

@@ -1,6 +1,7 @@
 #include "kvs/kvs_client.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "base/log.hpp"
 #include "check/history.hpp"
@@ -50,6 +51,14 @@ KvsTxn& KvsTxn::mkdir(std::string key) {
   tuples_.push_back(Tuple{std::move(key), obj->id});
   objects_.push_back(std::move(obj));
   return *this;
+}
+
+Message KvsTxn::request(std::string topic, Json payload) && {
+  payload["ops"] = tuples_to_json(tuples_);
+  Message req = Message::request(std::move(topic), std::move(payload));
+  if (!objects_.empty())
+    req.set_attachment(std::make_shared<ObjectBundle>(std::move(objects_)));
+  return req;
 }
 
 void WatchHandle::reset() noexcept {
@@ -143,20 +152,14 @@ Task<void> KvsClient::mkdir(std::string key) {
   co_return;
 }
 
-Task<CommitResult> KvsClient::commit(KvsTxn txn) {
-  check::OpRecord r;
+Task<CommitResult> KvsClient::ship(check::OpRecord r, Message req) {
   if (rec_) {
     r.client = rec_client_;
-    r.kind = check::OpKind::commit;
     r.vv_begin = sample_vv();
     r.t_ns = h_.executor().now().count();
   }
-  Json payload = Json::object({{"ops", tuples_to_json(txn.tuples_)}});
-  RequestBuilder req = h_.request("kvs.commit").payload(std::move(payload));
-  if (!txn.objects_.empty())
-    req.attachment(std::make_shared<ObjectBundle>(std::move(txn.objects_)));
   try {
-    Message resp = co_await req.call();
+    Message resp = co_await h_.request(std::move(req)).call();
     CommitResult res = parse_commit_result(resp);
     if (rec_) {
       r.result_version = res.version;
@@ -176,53 +179,28 @@ Task<CommitResult> KvsClient::commit(KvsTxn txn) {
   }
 }
 
+Task<CommitResult> KvsClient::commit(KvsTxn txn) {
+  check::OpRecord r;
+  r.kind = check::OpKind::commit;
+  return ship(std::move(r), std::move(txn).request("kvs.commit"));
+}
+
 Task<CommitResult> KvsClient::commit() {
-  KvsTxn staged = std::move(txn_);
-  txn_ = KvsTxn{};
-  return commit(std::move(staged));
+  return commit(std::exchange(txn_, KvsTxn{}));
 }
 
 Task<CommitResult> KvsClient::fence(std::string name, std::int64_t nprocs,
                                     KvsTxn txn) {
   check::OpRecord r;
-  if (rec_) {
-    r.client = rec_client_;
-    r.kind = check::OpKind::fence;
-    r.key = name;
-    r.vv_begin = sample_vv();
-    r.t_ns = h_.executor().now().count();
-  }
-  Json payload = Json::object({{"name", std::move(name)},
-                               {"nprocs", nprocs},
-                               {"ops", tuples_to_json(txn.tuples_)}});
-  RequestBuilder req = h_.request("kvs.fence").payload(std::move(payload));
-  if (!txn.objects_.empty())
-    req.attachment(std::make_shared<ObjectBundle>(std::move(txn.objects_)));
-  try {
-    Message resp = co_await req.call();
-    CommitResult res = parse_commit_result(resp);
-    if (rec_) {
-      r.result_version = res.version;
-      r.result_vv = res.vv;
-      r.ref = res.rootref;
-      r.vv_end = sample_vv();
-      rec_->record(std::move(r));
-    }
-    co_return res;
-  } catch (const FluxException& e) {
-    if (rec_) {
-      r.err = e.error().code;
-      r.vv_end = sample_vv();
-      rec_->record(std::move(r));
-    }
-    throw;
-  }
+  r.kind = check::OpKind::fence;
+  if (rec_) r.key = name;
+  Json payload = Json::object({{"name", std::move(name)}, {"nprocs", nprocs}});
+  return ship(std::move(r),
+              std::move(txn).request("kvs.fence", std::move(payload)));
 }
 
 Task<CommitResult> KvsClient::fence(std::string name, std::int64_t nprocs) {
-  KvsTxn staged = std::move(txn_);
-  txn_ = KvsTxn{};
-  return fence(std::move(name), nprocs, std::move(staged));
+  return fence(std::move(name), nprocs, std::exchange(txn_, KvsTxn{}));
 }
 
 Task<Json> KvsClient::get(std::string key) {

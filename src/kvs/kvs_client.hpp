@@ -8,12 +8,13 @@
 //   kvs_wait_version(v)   -> KvsClient::wait_version
 //   kvs_watch(key,cb)     -> KvsClient::watch      (per-root-update compare)
 //
-// Writes accumulate in an explicit KvsTxn on the *client* side ("cached
+// Writes accumulate in an explicit KvsTxn on the *writer's* side ("cached
 // locally pending commit"); commit(txn)/fence(...,txn) ship the whole
 // transaction — (key, ref) tuples plus the content-addressed objects — to
 // the kvs module in a single RPC. KvsClient::put/unlink/mkdir are sugar over
 // a default transaction, so fence semantics stay per-process exactly as in
-// the paper.
+// the paper. Comms modules stage into a KvsTxn too and send its request()
+// with Broker::module_rpc, so the KVS has one write protocol.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +28,7 @@
 
 namespace flux::check {
 class HistoryRecorder;
+struct OpRecord;
 }
 
 namespace flux {
@@ -87,10 +89,11 @@ struct CommitResult {
 };
 
 /// An explicit KVS transaction: an ordered list of (key, object) operations
-/// staged client-side. Nothing touches the session until the transaction is
-/// handed to KvsClient::commit()/fence(); applying is atomic (one root swap
-/// covers every op). Value objects are hashed at put() time, so a txn also
-/// pre-computes the content addresses the commit will reference.
+/// staged writer-side. Nothing touches the session until the transaction is
+/// shipped — by KvsClient::commit()/fence(), or as a module's request();
+/// applying is atomic (one root swap covers every op). Value objects are
+/// hashed at put() time, so a txn also pre-computes the content addresses
+/// the commit will reference.
 class KvsTxn {
  public:
   /// Stage a write. Throws FluxException(EINVAL) for an empty key.
@@ -99,6 +102,12 @@ class KvsTxn {
   KvsTxn& unlink(std::string key);
   /// Stage an (empty) directory creation.
   KvsTxn& mkdir(std::string key);
+
+  /// This transaction as one kvs.commit/kvs.fence request: `payload` (a
+  /// fence's name and nprocs; nothing for a commit) gains the "ops" tuples,
+  /// and the objects travel as an ObjectBundle attachment. The only code
+  /// that knows the commit/fence wire shape.
+  [[nodiscard]] Message request(std::string topic, Json payload = {}) &&;
 
   [[nodiscard]] bool empty() const noexcept { return tuples_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return tuples_.size(); }
@@ -175,6 +184,9 @@ class KvsClient {
   friend class WatchHandle;
 
   void unwatch(std::uint64_t id);
+  /// Send a commit/fence request and parse its CommitResult; `r` is the
+  /// DST record (kind and key filled in) completed around the call.
+  Task<CommitResult> ship(check::OpRecord r, Message req);
 
   struct Watch {
     std::uint64_t id;

@@ -37,10 +37,7 @@ std::uint64_t wall_ns_since(
 KvsModule::KvsModule(Broker& b) : ModuleBase(b) {
   ObjectBundle::register_codec();
 
-  on("put", [this](Message& m) { op_put(m); });
   on("stage", [this](Message& m) { op_stage(m); });
-  on("unlink", [this](Message& m) { op_unlink(m); });
-  on("mkdir", [this](Message& m) { op_mkdir(m); });
   on("get", [this](Message& m) { op_get(m); });
   on("lookup_ref", [this](Message& m) { op_lookup_ref(m); });
   on("get_version", [this](Message& m) { op_get_version(m); });
@@ -308,9 +305,6 @@ std::vector<Sha1> KvsModule::gc_pins() const {
     }
   }
   for (const ReadyPart& ready : apply_batch_) add_tuples(ready.tuples);
-  // Staged (uncommitted) client transactions: op_put placed their objects in
-  // the store ahead of the commit.
-  for (const auto& [key, txn] : txns_) add_tuples(txn.tuples);
   return pins;
 }
 
@@ -368,14 +362,8 @@ void KvsModule::handle_event(const Message& msg) {
 }
 
 // ---------------------------------------------------------------------------
-// Transactions (put / unlink / mkdir)
+// Write-back staging
 // ---------------------------------------------------------------------------
-
-KvsModule::TxnKey KvsModule::txn_key(const Message& msg) {
-  if (msg.route.empty()) return {kNodeAny, 0};
-  const RouteHop& origin = msg.route.front();
-  return {origin.rank, origin.id};
-}
 
 void KvsModule::stage_object(const ObjPtr& obj, bool pin) {
   if (sole_master()) {
@@ -384,35 +372,6 @@ void KvsModule::stage_object(const ObjPtr& obj, bool pin) {
   }
   cache_.put(obj, epoch_);
   if (pin) cache_.pin(obj->id);
-}
-
-void KvsModule::record(Message& msg, std::string key, ObjPtr obj) {
-  Txn& txn = txns_[txn_key(msg)];
-  txn.tuples.push_back(Tuple{std::move(key), obj->id});
-  stage_object(obj, /*pin=*/true);
-  txn.objects.push_back(std::move(obj));
-}
-
-void KvsModule::op_put(Message& msg) {
-  ++ops_.puts;
-  const std::string key = msg.payload().get_string("key");
-  if (key.empty() || split_key(key).empty()) {
-    respond_error(msg, errc::inval, "put: empty key");
-    return;
-  }
-  ObjPtr obj;
-  if (msg.data()) {
-    obj = parse_object(*msg.data());
-    if (!obj || !obj->is_val()) {
-      respond_error(msg, errc::inval, "put: malformed value object");
-      return;
-    }
-  } else {
-    obj = make_val_object(msg.payload().at("value"));
-  }
-  const std::string ref = obj->id.hex();
-  record(msg, key, std::move(obj));
-  respond_ok(msg, Json::object({{"ref", ref}}));
 }
 
 void KvsModule::op_stage(Message& msg) {
@@ -433,26 +392,6 @@ void KvsModule::op_stage(Message& msg) {
   respond_ok(msg);
 }
 
-void KvsModule::op_unlink(Message& msg) {
-  const std::string key = msg.payload().get_string("key");
-  if (key.empty() || split_key(key).empty()) {
-    respond_error(msg, errc::inval, "unlink: empty key");
-    return;
-  }
-  txns_[txn_key(msg)].tuples.push_back(Tuple{key, Sha1{}});
-  respond_ok(msg);
-}
-
-void KvsModule::op_mkdir(Message& msg) {
-  const std::string key = msg.payload().get_string("key");
-  if (key.empty() || split_key(key).empty()) {
-    respond_error(msg, errc::inval, "mkdir: empty key");
-    return;
-  }
-  record(msg, key, empty_dir_object());
-  respond_ok(msg);
-}
-
 // ---------------------------------------------------------------------------
 // Commit / fence / flush
 // ---------------------------------------------------------------------------
@@ -463,9 +402,11 @@ void KvsModule::op_commit(Message& msg) {
   // unification flux-core later adopted). Completion — and therefore the
   // response — happens only after the local root has been updated, which is
   // what gives read-your-writes consistency.
-  const TxnKey key = txn_key(msg);
-  const std::string name = "#commit." + std::to_string(key.first) + "." +
-                           std::to_string(key.second) + "." +
+  const RouteHop origin = msg.route.empty()
+                              ? RouteHop{RouteHop::Kind::Broker, kNodeAny, 0}
+                              : msg.route.front();
+  const std::string name = "#commit." + std::to_string(origin.rank) + "." +
+                           std::to_string(origin.id) + "." +
                            std::to_string(++commit_seq_);
   // Annotate the fence fields in place — a commit payload can carry large
   // transaction ops, so copying it wholesale just to add two keys is waste.
@@ -476,42 +417,26 @@ void KvsModule::op_commit(Message& msg) {
 }
 
 std::optional<KvsModule::Txn> KvsModule::claim_txn(Message& msg) {
-  // Claim the caller's transaction: the explicit client-side form ("ops"
-  // tuples + object bundle in this very request), plus any ops staged via
-  // the legacy endpoint-keyed put/unlink/mkdir RPCs.
-  Txn txn;
-  if (msg.payload().contains("ops")) {
-    auto tuples = tuples_from_json(msg.payload().at("ops"));
-    if (!tuples) {
-      respond_error(msg, errc::inval, "fence: malformed ops");
+  // The writer's transaction travels whole in this very request: "ops"
+  // tuples plus the object bundle (KvsTxn::request).
+  auto tuples = tuples_from_json(msg.payload().at("ops"));
+  if (!tuples) {
+    respond_error(msg, errc::inval, "fence: malformed ops");
+    return std::nullopt;
+  }
+  std::vector<ObjPtr> objects;
+  if (msg.attachment()) {
+    auto bundle =
+        std::dynamic_pointer_cast<const ObjectBundle>(msg.attachment());
+    if (!bundle) {
+      respond_error(msg, errc::inval, "fence: non-bundle attachment");
       return std::nullopt;
     }
-    std::vector<ObjPtr> objects;
-    if (msg.attachment()) {
-      auto bundle =
-          std::dynamic_pointer_cast<const ObjectBundle>(msg.attachment());
-      if (!bundle) {
-        respond_error(msg, errc::inval, "fence: non-bundle attachment");
-        return std::nullopt;
-      }
-      objects = bundle->objects();
-    }
-    txn.tuples = std::move(tuples).value();
-    for (ObjPtr& obj : objects) {
-      // Mirror record(): pinned so the objects survive eviction until the
-      // fence completes.
-      stage_object(obj, /*pin=*/true);
-      txn.objects.push_back(std::move(obj));
-    }
+    objects = bundle->objects();
   }
-  if (auto it = txns_.find(txn_key(msg)); it != txns_.end()) {
-    std::move(it->second.tuples.begin(), it->second.tuples.end(),
-              std::back_inserter(txn.tuples));
-    std::move(it->second.objects.begin(), it->second.objects.end(),
-              std::back_inserter(txn.objects));
-    txns_.erase(it);
-  }
-  return txn;
+  // Pinned so the objects survive eviction until the fence completes.
+  for (const ObjPtr& obj : objects) stage_object(obj, /*pin=*/true);
+  return Txn{std::move(tuples).value(), std::move(objects)};
 }
 
 void KvsModule::op_fence(Message& msg) {

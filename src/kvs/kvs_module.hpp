@@ -50,8 +50,12 @@
 // true} the next live rank re-masters the shard (hb-clocked).
 //
 // Client-visible operations (via kvs_client.hpp):
-//   put, unlink, mkdir, get, lookup_ref, commit, fence, get_version,
-//   wait_version, stats, drop_cache
+//   stage, get, lookup_ref, commit, fence, get_version, wait_version, stats,
+//   drop_cache
+// Writes have one protocol: the writer stages a KvsTxn and ships it whole
+// in one commit/fence ("ops" tuples plus an object bundle); stage only
+// positions a client's value objects early (write-back). No per-endpoint
+// write state lives here.
 // Internal (module-to-module):
 //   flush (aggregated dirty state heading to a master), load/fault (object
 //   fetch from the parent toward a master), shard_done (master ->
@@ -160,10 +164,7 @@ class KvsModule final : public ModuleBase {
 
  private:
   // -- request handlers -------------------------------------------------------
-  void op_put(Message& msg);
   void op_stage(Message& msg);
-  void op_unlink(Message& msg);
-  void op_mkdir(Message& msg);
   void op_get(Message& msg);
   void op_lookup_ref(Message& msg);
   void op_get_version(Message& msg);
@@ -178,21 +179,17 @@ class KvsModule final : public ModuleBase {
   void op_drop_cache(Message& msg);
 
   // -- machinery ---------------------------------------------------------------
-  /// Key identifying the client transaction a put belongs to.
-  using TxnKey = std::pair<NodeId, std::uint64_t>;
   struct Txn {
     std::vector<Tuple> tuples;
     std::vector<ObjPtr> objects;
   };
-  static TxnKey txn_key(const Message& msg);
   /// Position a client's object: the sole master (k=1) stores it outright;
   /// everyone else caches it (pinned until its fence completes when `pin`)
   /// and lets the fence flush carry it to its shard.
   void stage_object(const ObjPtr& obj, bool pin);
-  /// Record one dirty object + tuple under the caller's transaction.
-  void record(Message& msg, std::string key, ObjPtr obj);
-  /// Claim the caller's transaction (payload ops + bundle + staged RPC ops);
-  /// returns nullopt after responding with an error on malformed input.
+  /// Claim the transaction a commit/fence request carries (payload ops +
+  /// bundle); returns nullopt after responding with an error on malformed
+  /// input.
   std::optional<Txn> claim_txn(Message& msg);
 
   /// One fence as this broker sees it: one part per shard.
@@ -410,7 +407,6 @@ class KvsModule final : public ModuleBase {
 
   std::uint64_t commit_seq_ = 0;
   std::uint64_t fence_anon_seq_ = 0;  // fence_origin_key fallback counter
-  std::map<TxnKey, Txn> txns_;
   std::map<std::string, Fence> fences_;
   /// Master: fence parts ready to apply, coalescing within one reactor turn
   /// in readiness order. Flushed by one posted task; under sustained load

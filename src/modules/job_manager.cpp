@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "api/handle.hpp"
 #include "base/log.hpp"
 #include "broker/broker.hpp"
 #include "kvs/kvs_client.hpp"
@@ -65,8 +64,6 @@ void JobManager::start() {
     rec->phase = Phase::Dispatched;
     co_spawn(broker().executor(), dispatch(rec->id), "job-manager.dispatch");
   });
-  handle_ = std::make_unique<Handle>(broker());
-  kvs_ = std::make_unique<KvsClient>(*handle_);
 }
 
 bool JobManager::forward_if_not_root(Message& msg) {
@@ -86,13 +83,12 @@ void JobManager::event(JobRecord& rec, std::string_view ev_name, Json context) {
   if (context.is_object())
     for (const auto& [k, v] : context.as_object()) e[k] = v;
   rec.eventlog.push_back(std::move(e));
-  kvs_->txn().put(job_key(rec.id, "eventlog"), rec.eventlog);
+  txn_.put(job_key(rec.id, "eventlog"), rec.eventlog);
   schedule_flush();
 }
 
 void JobManager::stage_state(JobRecord& rec) {
-  kvs_->txn().put(job_key(rec.id, "state"),
-                  std::string(job_state_name(rec.state)));
+  txn_.put(job_key(rec.id, "state"), std::string(job_state_name(rec.state)));
   schedule_flush();
 }
 
@@ -110,8 +106,12 @@ Task<void> JobManager::flush_task() {
   // is in flight fold into one follow-up commit (the watch-refresh pattern).
   do {
     flush_rerun_ = false;
+    Message commit = std::exchange(txn_, KvsTxn{}).request("kvs.commit");
     try {
-      co_await kvs_->commit();
+      Message resp = co_await broker().module_rpc(*this, std::move(commit));
+      if (!resp.ok())
+        log::warn("job-manager", "kvs flush failed: ",
+                  resp.payload().get_string("errmsg", "error"));
     } catch (const FluxException& e) {
       log::warn("job-manager", "kvs flush failed: ", e.what());
     }
@@ -161,7 +161,7 @@ void JobManager::op_submit(Message& msg) {
 
   c_submitted_->inc();
   h_depth_->record(sched_->queue_length());
-  kvs_->txn().put(job_key(id, "jobspec"), r.spec.to_json());
+  txn_.put(job_key(id, "jobspec"), r.spec.to_json());
   event(r, "submit", Json::object({{"priority", r.spec.priority},
                                    {"nnodes", r.spec.request.nnodes}}));
   stage_state(r);
@@ -174,18 +174,13 @@ Task<void> JobManager::dispatch(std::uint64_t id) {
   Json ranks_json = Json::array();
   for (NodeId r : rec->ranks) ranks_json.push_back(r);
 
-  // 1. Commit the allocation before any task runs. module_rpc reaches the
-  // root's KVS module directly; the Handle under kvs_ would add a loopback
-  // hop on the root's receive queue to every message.
-  ObjPtr obj = make_val_object(ranks_json);
-  Message put =
-      Message::request("kvs.put", Json::object({{"key", job_key(id, "ranks")}}));
-  put.set_data(std::shared_ptr<const std::string>(obj, &obj->bytes));
+  // 1. Commit the allocation, on its own, before any task runs.
+  KvsTxn alloc;
+  alloc.put(job_key(id, "ranks"), ranks_json);
+  Message commit = std::move(alloc).request("kvs.commit");
   try {
-    Message put_resp = co_await broker().module_rpc(*this, std::move(put));
-    Message commit_resp =
-        co_await broker().module_rpc(*this, Message::request("kvs.commit"));
-    if (put_resp.errnum != 0 || commit_resp.errnum != 0)
+    Message resp = co_await broker().module_rpc(*this, std::move(commit));
+    if (!resp.ok())
       log::warn("job-manager", "failed to record allocation for job ", id);
   } catch (const FluxException&) {
     co_return;  // this broker failed or the session is shutting down
@@ -218,17 +213,19 @@ Task<void> JobManager::dispatch(std::uint64_t id) {
                                      {"ranks", ranks_json}});
   const TimePoint started = broker().executor().now();
   // Backstop deadline: wexec's collective stdio fence can hang forever if a
-  // participant broker dies; live.down normally fails the job first, but the
-  // timeout guarantees this coroutine always settles.
+  // participant broker dies; live.down normally fails the job and cancels
+  // this RPC first, but the timeout guarantees this coroutine always settles.
   const Duration deadline =
       rec->spec.walltime * 2 + std::chrono::seconds(30);
   Message run_resp;
   try {
-    run_resp = co_await broker().module_rpc(
+    Future<Message> run = broker().module_rpc(
         *this, Message::request("wexec.run", run_req), deadline);
+    rec->run_tag = broker().last_matchtag();
+    run_resp = co_await run;
   } catch (const FluxException&) {
-    // Deadline or transport loss; if live.down already finalized the job
-    // this is just the abandoned fence timing out.
+    // Deadline, transport loss, or live.down canceled the RPC after
+    // finalizing the job.
     rec = find(id);
     if (rec != nullptr && rec->phase != Phase::Done)
       finalize(*rec, rec->canceled ? JobState::Canceled : JobState::Failed,
@@ -279,9 +276,9 @@ void JobManager::finalize(JobRecord& rec, JobState terminal, Json exits,
         Json::object({{"state", std::string(job_state_name(rec.state))},
                       {"why", std::string(why)}}));
   stage_state(rec);
-  kvs_->txn().put(job_key(rec.id, "result"), rec.result);
+  txn_.put(job_key(rec.id, "result"), rec.result);
   if (!rec.ranks.empty())
-    kvs_->txn().put(job_key(rec.id, "stdio"), job_kvs_dir("lwj", rec.id));
+    txn_.put(job_key(rec.id, "stdio"), job_kvs_dir("lwj", rec.id));
   schedule_flush();
 
   switch (rec.state) {
@@ -375,19 +372,27 @@ void JobManager::op_wait(Message& msg) {
 Task<void> JobManager::answer_from_kvs(Message req, std::uint64_t id,
                                        bool want_result) {
   // Evicted (or pre-restart) jobs: the KVS is the system of record.
-  const std::string key = job_key(id, want_result ? "result" : "state");
+  Message get = Message::request(
+      "kvs.get",
+      Json::object({{"key", job_key(id, want_result ? "result" : "state")}}));
+  ObjPtr obj;
   try {
-    Json value = co_await kvs_->get(key);
-    if (want_result)
-      respond_ok(req, std::move(value));
-    else {
-      Json out = Json::object({{"id", static_cast<std::int64_t>(id)},
-                               {"state", value.as_string()}});
-      respond_ok(req, std::move(out));
-    }
+    Message resp = co_await broker().module_rpc(*this, std::move(get));
+    if (resp.ok() && resp.data()) obj = parse_object(*resp.data());
   } catch (const FluxException&) {
-    respond_error(req, errc::job_unknown, "job-manager: no such job");
+    // This broker failed or the session is shutting down.
   }
+  if (!obj || !obj->is_val() ||
+      !(want_result || obj->value().is_string())) {
+    respond_error(req, errc::job_unknown, "job-manager: no such job");
+    co_return;
+  }
+  if (want_result) {
+    respond_ok(req, obj->value());
+    co_return;
+  }
+  respond_ok(req, Json::object({{"id", static_cast<std::int64_t>(id)},
+                                {"state", obj->value().as_string()}}));
 }
 
 void JobManager::op_list(Message& msg) {
@@ -416,9 +421,14 @@ void JobManager::handle_event(const Message& msg) {
   }
   for (std::uint64_t id : hit) {
     JobRecord* rec = find(id);
+    const std::uint32_t run_tag = rec->run_tag;
     event(*rec, "node_down",
           Json::object({{"rank", static_cast<std::int64_t>(rank)}}));
     finalize(*rec, JobState::Failed, Json::object(), 0, "node_down");
+    // The run can no longer complete: release the dispatch now instead of
+    // at its backstop deadline, and stop the tasks on the surviving ranks.
+    if (run_tag != 0 && broker().cancel_rpc(run_tag, "node down"))
+      co_spawn(broker().executor(), kill_tasks(id), "job-manager.kill");
   }
   // The node is free now; scheduling passes are posted, so none can have
   // placed a job on it in between. A repeated live.down is refused here.

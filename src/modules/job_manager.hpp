@@ -21,9 +21,11 @@
 //       D.result     {id, state, success, exits, ntasks} (terminal)
 //       D.stdio      ref to the capture dir job_kvs_dir("lwj", id), which
 //                    the manager hands to wexec.run as "dir"
-//   Other KVS writes coalesce: transitions stage into the client txn and a
-//   single in-flight commit coroutine flushes them (the KVS watch-refresh
-//   pattern).
+//   D.ranks is its own kvs.commit. Every other KVS write coalesces:
+//   transitions stage into the manager's KvsTxn, and a single in-flight
+//   commit coroutine ships it as one module_rpc kvs.commit (the KVS
+//   watch-refresh pattern). The manager holds no client Handle, so none of
+//   its KVS traffic takes the node-local hop.
 //
 // Protocol (all root-authoritative; non-root forwards upstream):
 //   job-manager.submit {id, jobspec}   from job-ingest; responds {id}
@@ -37,7 +39,9 @@
 // Failure handling: on "live.down" the manager fails (never orphans) every
 // non-terminal job whose allocation includes the dead rank, which returns
 // those allocations to the pool, and then removes the dead node from the
-// pool. Queued jobs that no longer fit what is left fail too.
+// pool. A failed job's pending wexec.run is canceled at once and its tasks
+// on the surviving ranks are killed. Queued jobs that no longer fit what is
+// left fail too.
 #pragma once
 
 #include <cstdint>
@@ -49,13 +53,9 @@
 #include "broker/module.hpp"
 #include "core/jobspec.hpp"
 #include "exec/task.hpp"
+#include "kvs/kvs_client.hpp"
 #include "resource/resource.hpp"
 #include "sched/scheduler.hpp"
-
-namespace flux {
-class Handle;
-class KvsClient;
-}  // namespace flux
 
 namespace flux::modules {
 
@@ -81,6 +81,7 @@ class JobManager final : public ModuleBase {
     Phase phase = Phase::Queued;
     std::uint64_t sched_id = 0;  ///< Scheduler's internal job id
     std::vector<NodeId> ranks;   ///< pool allocation (empty while Queued)
+    std::uint32_t run_tag = 0;   ///< matchtag of the wexec.run RPC, once sent
     bool canceled = false;       ///< cancel requested
     Json eventlog = Json::array();
     std::vector<Message> waiters;  ///< parked job-manager.wait requests
@@ -97,8 +98,8 @@ class JobManager final : public ModuleBase {
   [[nodiscard]] bool forward_if_not_root(Message& msg);
   JobRecord* find(std::uint64_t id);
 
-  /// Append an eventlog entry and stage the log + current state into the
-  /// KVS txn (flushed by the coalesced commit coroutine).
+  /// Append an eventlog entry and stage the log + current state into txn_
+  /// (flushed by the coalesced commit coroutine).
   void event(JobRecord& rec, std::string_view ev_name, Json context);
   void stage_state(JobRecord& rec);
   void schedule_flush();
@@ -116,8 +117,7 @@ class JobManager final : public ModuleBase {
   std::vector<ResourceId> node_ids_;        ///< rank -> node vertex
   std::unique_ptr<ResourcePool> pool_;      ///< the allocation ledger
   std::unique_ptr<Scheduler> sched_;
-  std::unique_ptr<Handle> handle_;          ///< for the KVS client
-  std::unique_ptr<KvsClient> kvs_;
+  KvsTxn txn_;  ///< staged writes awaiting the next flush
   std::map<std::uint64_t, std::unique_ptr<JobRecord>> jobs_;
   std::map<std::uint64_t, std::uint64_t> sched_to_job_;
   std::deque<std::uint64_t> terminal_fifo_;  ///< bounded eviction of Done jobs

@@ -5,7 +5,7 @@
 #include "base/log.hpp"
 #include "base/rng.hpp"
 #include "broker/broker.hpp"
-#include "kvs/treeobj.hpp"
+#include "kvs/kvs_client.hpp"
 
 namespace flux::modules {
 
@@ -138,24 +138,17 @@ Task<void> Mon::store_aggregate(std::uint64_t epoch) {
   EpochAgg agg = std::move(it->second);
   pending_.erase(it);
 
+  KvsTxn txn;
   for (const auto& [mname, sample] : agg.metrics) {
     Json doc = sample.to_json();
     doc["avg"] = sample.count > 0
                      ? sample.sum / static_cast<double>(sample.count)
                      : 0.0;
-    ObjPtr obj = make_val_object(std::move(doc));
-    Message put = Message::request(
-        "kvs.put", Json::object({{"key", "mon.data." + mname + ".e" +
-                                             std::to_string(epoch)}}));
-    put.set_data(std::shared_ptr<const std::string>(obj, &obj->bytes));
-    Message resp = co_await broker().module_rpc(*this, std::move(put));
-    if (resp.errnum != 0)
-      log::warn("mon", "failed to store sample: ", resp.errnum);
+    txn.put("mon.data." + mname + ".e" + std::to_string(epoch), std::move(doc));
   }
-  Message resp =
-      co_await broker().module_rpc(*this, Message::request("kvs.commit"));
-  if (resp.errnum != 0)
-    log::warn("mon", "failed to commit samples: ", resp.errnum);
+  Message commit = std::move(txn).request("kvs.commit");
+  Message resp = co_await broker().module_rpc(*this, std::move(commit));
+  if (!resp.ok()) log::warn("mon", "failed to commit samples: ", resp.errnum);
 }
 
 }  // namespace flux::modules

@@ -2,18 +2,21 @@
 
 #include "base/log.hpp"
 #include "broker/broker.hpp"
-#include "kvs/treeobj.hpp"
+#include "kvs/kvs_client.hpp"
 #include "resource/resource.hpp"
 
 namespace flux::modules {
 
 namespace {
 
-ObjPtr node_record(std::string state) {
-  return make_val_object(Json::object(
-      {{"cores", ResourceGraph::kSessionCoresPerNode},
-       {"mem_gb", ResourceGraph::kSessionMemGbPerNode},
-       {"state", std::move(state)}}));
+Json node_record(std::string state) {
+  return Json::object({{"cores", ResourceGraph::kSessionCoresPerNode},
+                       {"mem_gb", ResourceGraph::kSessionMemGbPerNode},
+                       {"state", std::move(state)}});
+}
+
+std::string node_key(NodeId rank) {
+  return "resource.nodes.n" + std::to_string(rank);
 }
 
 }  // namespace
@@ -29,21 +32,12 @@ void Resvc::start() {
 }
 
 Task<void> Resvc::enumerate() {
-  for (NodeId r = 0; r < broker().size(); ++r) {
-    ObjPtr obj = node_record("up");
-    Message put = Message::request(
-        "kvs.put",
-        Json::object({{"key", "resource.nodes.n" + std::to_string(r)}}));
-    put.set_data(std::shared_ptr<const std::string>(obj, &obj->bytes));
-    Message resp = co_await broker().module_rpc(*this, std::move(put));
-    if (resp.errnum != 0) {
-      log::error("resvc", "enumeration put failed");
-      co_return;
-    }
-  }
-  Message resp =
-      co_await broker().module_rpc(*this, Message::request("kvs.commit"));
-  if (resp.errnum != 0) log::error("resvc", "enumeration commit failed");
+  KvsTxn txn;
+  for (NodeId r = 0; r < broker().size(); ++r)
+    txn.put(node_key(r), node_record("up"));
+  Message commit = std::move(txn).request("kvs.commit");
+  Message resp = co_await broker().module_rpc(*this, std::move(commit));
+  if (!resp.ok()) log::error("resvc", "enumeration commit failed");
 }
 
 void Resvc::op_status(Message& msg) {
@@ -64,13 +58,10 @@ void Resvc::handle_event(const Message& msg) {
 }
 
 Task<void> Resvc::mark_node_state(NodeId rank, std::string state) {
-  ObjPtr obj = node_record(std::move(state));
-  Message put = Message::request(
-      "kvs.put",
-      Json::object({{"key", "resource.nodes.n" + std::to_string(rank)}}));
-  put.set_data(std::shared_ptr<const std::string>(obj, &obj->bytes));
-  (void)co_await broker().module_rpc(*this, std::move(put));
-  (void)co_await broker().module_rpc(*this, Message::request("kvs.commit"));
+  KvsTxn txn;
+  txn.put(node_key(rank), node_record(std::move(state)));
+  Message commit = std::move(txn).request("kvs.commit");
+  (void)co_await broker().module_rpc(*this, std::move(commit));
 }
 
 }  // namespace flux::modules

@@ -209,16 +209,22 @@ Task<void> Wexec::run_task(std::string jobid, std::string dir,
 
   // Standard I/O and exit status are "captured in the KVS" under the
   // caller's capture directory, committed collectively so the whole job
-  // becomes visible in one root update.
+  // becomes visible in one root update: one module kvs.fence per task.
   const std::string base = dir + "." + std::to_string(broker().rank());
   Json out_lines = Json::array(), err_lines = Json::array();
   for (const auto& line : ctx->captured_stdout()) out_lines.push_back(line);
   for (const auto& line : ctx->captured_stderr()) err_lines.push_back(line);
+  KvsTxn capture;
+  capture.put(base + ".stdout", std::move(out_lines));
+  capture.put(base + ".stderr", std::move(err_lines));
+  capture.put(base + ".exitcode", exit_code);
+  Json fence = Json::object({{"name", "wexec." + jobid}, {"nprocs", ntasks}});
+  Message req = std::move(capture).request("kvs.fence", std::move(fence));
   try {
-    co_await ctx->kvs().put(base + ".stdout", std::move(out_lines));
-    co_await ctx->kvs().put(base + ".stderr", std::move(err_lines));
-    co_await ctx->kvs().put(base + ".exitcode", exit_code);
-    co_await ctx->kvs().fence("wexec." + jobid, ntasks);
+    Message resp = co_await broker().module_rpc(*this, std::move(req));
+    if (!resp.ok())
+      log::error("wexec", "kvs capture failed for ", jobid, ": ",
+                 resp.payload().get_string("errmsg", "error"));
   } catch (const FluxException& e) {
     log::error("wexec", "kvs capture failed for ", jobid, ": ", e.what());
   }

@@ -10,7 +10,10 @@
 //
 // The capture directory is the caller's choice, sent as `dir`: the
 // job-manager sends job_kvs_dir("lwj", id) (core/jobspec.hpp), other callers
-// their own. wexec never derives a KVS path from the jobid.
+// their own. wexec never derives a KVS path from the jobid. Each task's
+// capture is one KvsTxn that the module itself ships as a kvs.fence named
+// "wexec.<jobid>" over module_rpc; the ProcessCtx handle belongs to the
+// simulated process (commands like kvsput), not to the capture.
 //
 // Protocol:
 //   wexec.run  {jobid, dir, cmd, args, ranks?}

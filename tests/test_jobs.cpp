@@ -8,6 +8,7 @@
 #include <map>
 
 #include "api/job_client.hpp"
+#include "fault/injector.hpp"
 #include "sim_fixture.hpp"
 
 namespace flux {
@@ -556,6 +557,66 @@ TEST(Jobs, ManySmallJobsUnderFirstfit) {
       throw FluxException(
           Error(errc::proto, "pool not drained: " + st.payload().dump()));
   }(h.get()));
+}
+
+/// Counts the requests each broker sends to itself — the node-local client
+/// hop a Handle takes — by topic; never alters a message.
+class SelfRequestTally final : public fault::Injector {
+ public:
+  fault::Verdict on_send(NodeId from, NodeId to, const Message& msg) override {
+    if (from == to && msg.type == MsgType::Request) ++by_topic[msg.topic];
+    return fault::Verdict::deliver_v();
+  }
+  std::map<std::string, int> by_topic;
+};
+
+TEST(Jobs, ModuleKvsWritesTakeNoLoopbackHop) {
+  // The job-manager's D.ranks commit and coalesced eventlog/state/result
+  // flushes, and every wexec task's stdio capture, are module writes: they
+  // reach the KVS module through module_rpc, never through the node-local
+  // hop of a client Handle on their own broker.
+  SimSession s(SimSession::default_config(4));
+  auto h = s.attach(3);
+  SelfRequestTally tally;
+  s.session().set_fault_injector(&tally);
+  const std::vector<JobHandle> jobs =
+      s.run([](Handle* hd) -> Task<std::vector<JobHandle>> {
+        std::vector<JobHandle> out;
+        out.push_back(co_await hd->job().nnodes(2).submit());
+        out.push_back(co_await hd->job().command("hostname").nnodes(4).submit());
+        out.push_back(co_await hd->job().command("exit").nnodes(1).submit());
+        for (JobHandle& j : out) {
+          JobResult r = co_await j.wait();
+          if (r.state != JobState::Complete)
+            throw FluxException(Error(errc::proto, "job did not complete"));
+        }
+        co_return out;
+      }(h.get()));
+  s.session().set_fault_injector(nullptr);
+
+  for (const auto& [topic, n] : tally.by_topic)
+    EXPECT_FALSE(topic.starts_with("kvs."))
+        << n << " self-addressed " << topic << " request(s)";
+  // The tally does see the client hop: the submits took it.
+  EXPECT_EQ(tally.by_topic["job.submit"], 3);
+
+  // The writes still landed: every rank's capture of the 4-node job, and
+  // each job's result.
+  s.run([](Handle* hd, std::vector<JobHandle> js) -> Task<void> {
+    KvsClient kvs(*hd);
+    const std::string stdio = (co_await kvs.get(js[1].kvs_dir() + ".stdio"))
+                                  .as_string();
+    for (int r = 0; r < 4; ++r) {
+      Json out = co_await kvs.get(stdio + "." + std::to_string(r) + ".stdout");
+      if (out != Json::array({Json("node" + std::to_string(r))}))
+        throw FluxException(Error(errc::proto, "capture lost: " + out.dump()));
+    }
+    for (const JobHandle& j : js) {
+      Json result = co_await kvs.get(j.kvs_dir() + ".result");
+      if (!result.get_bool("success"))
+        throw FluxException(Error(errc::proto, "result not folded back"));
+    }
+  }(h.get(), jobs));
 }
 
 }  // namespace
